@@ -220,36 +220,3 @@ func runX14(scale Scale) *Table {
 	t.Shape = "the budgets-off arm collapses after the crowd and stays collapsed; the full control plane recovers within the stated bound, isolates tenants, reconciles exactly, and replays bit-identically"
 	return t
 }
-
-// FleetPerf is one X14 performance sample: how fast the event-driven
-// fleet pushes simulated requests. The CI bench step appends these to the
-// repo's performance trajectory (BENCH_X14.json).
-type FleetPerf struct {
-	Requests     int     `json:"requests"`
-	WallS        float64 `json:"wall_s"`
-	ReqPerSec    float64 `json:"req_per_sec"`
-	Events       int     `json:"events"`
-	EventsPerSec float64 `json:"events_per_sec"`
-}
-
-// FleetBenchmark times one full-control-plane overload day and reports
-// simulated-request throughput; the CI guardrail holds ReqPerSec above
-// 100k.
-func FleetBenchmark(scale Scale) (FleetPerf, error) {
-	requests := x14Requests(scale)
-	f, err := serve.NewFleet(x14Config(requests, true, nil))
-	if err != nil {
-		return FleetPerf{}, err
-	}
-	start := time.Now()
-	res := f.Run()
-	wall := time.Since(start).Seconds()
-	events := f.Kernel().Processed()
-	return FleetPerf{
-		Requests:     res.Requests,
-		WallS:        wall,
-		ReqPerSec:    float64(res.Requests) / wall,
-		Events:       events,
-		EventsPerSec: float64(events) / wall,
-	}, nil
-}

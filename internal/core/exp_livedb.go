@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"dlsys/internal/fault"
 	"dlsys/internal/learned"
@@ -270,45 +269,4 @@ func runX11(scale Scale) *Table {
 
 	t.Shape = "every cell keeps the ladder fully available under drift and corrupted-insert bursts; rollbacks quarantine exactly the fence violators, swaps re-attain the learned win, and the whole matrix replays bit-identically"
 	return t
-}
-
-// LiveIndexPerf is one X11 performance sample: throughput of the composed
-// index-maintenance simulation. The CI bench step appends these to the
-// repo's performance trajectory (BENCH_X11.json).
-type LiveIndexPerf struct {
-	WallS        float64 `json:"wall_s"`
-	Queries      int     `json:"queries"`
-	QueriesPerS  float64 `json:"queries_per_sec"`
-	Retrains     int     `json:"retrains"`
-	Swaps        int     `json:"swaps"`
-	Rollbacks    int     `json:"rollbacks"`
-	AvailOK      bool    `json:"avail_ok"`
-	LearnedWinOK bool    `json:"learned_win_ok"`
-}
-
-// LiveIndexBenchmark times the hardest X11 cell (flash drift × bursty
-// faults) once, uninstrumented apart from the engine's own stats, and
-// reports query throughput plus the maintenance outcome.
-func LiveIndexBenchmark(scale Scale) (LiveIndexPerf, error) {
-	nKeys, ops, rate := 2000, 1600, 400.0
-	if scale == Full {
-		nKeys, ops, rate = 6000, 6000, 400.0
-	}
-	start := time.Now()
-	c, err := runX11Cell("flash", "bursty", nKeys, ops, rate)
-	if err != nil {
-		return LiveIndexPerf{}, err
-	}
-	wall := time.Since(start).Seconds()
-	q := c.stats.Queries()
-	return LiveIndexPerf{
-		WallS:        wall,
-		Queries:      q,
-		QueriesPerS:  float64(q) / wall,
-		Retrains:     c.stats.Retrains,
-		Swaps:        c.stats.Swaps,
-		Rollbacks:    c.stats.Rollbacks,
-		AvailOK:      c.availOK(),
-		LearnedWinOK: c.stats.Swaps == 0 || !c.serving || c.winOK(),
-	}, nil
 }

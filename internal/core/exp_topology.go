@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
 	"dlsys/internal/data"
 	"dlsys/internal/device"
@@ -282,56 +281,4 @@ func runX12(scale Scale) *Table {
 		"); ring/tree beat the mesh at n >= 64 and the planner model predicts the measured times; " +
 		"quorum loss degrades to the mesh; stats reconcile exactly; replays are bit-identical"
 	return t
-}
-
-// TopologyPerf is one X12 performance sample: wall time and simulated-round
-// throughput of the hardest convergence cell (largest n, ring topology,
-// link faults + churn together). The CI bench step appends these to the
-// repo's performance trajectory (BENCH_X12.json).
-type TopologyPerf struct {
-	WallS       float64 `json:"wall_s"`
-	Workers     int     `json:"workers"`
-	Rounds      int     `json:"rounds"`
-	RoundsPerS  float64 `json:"rounds_per_sec"`
-	CommSimS    float64 `json:"comm_sim_s"`
-	Heals       int     `json:"heals"`
-	Degraded    int     `json:"degraded"`
-	Joins       int     `json:"joins"`
-	CatchUps    int     `json:"catchups"`
-	ConvergeOK  bool    `json:"converge_ok"`
-	ReconcileOK bool    `json:"reconcile_ok"`
-}
-
-// TopologyBenchmark times the hardest X12 cell — the largest configured n
-// on the ring with link faults and churn — and reports round throughput
-// plus the robustness outcome.
-func TopologyBenchmark(scale Scale) (TopologyPerf, error) {
-	ns := x12Ns(scale)
-	n := ns[len(ns)-1]
-	rng := rand.New(rand.NewSource(200 + int64(n)))
-	ds := data.GaussianMixture(rng, 16*n, 5, 3, 3.2)
-	y := nn.OneHot(ds.Labels, 3)
-	h := obs.NewHandle()
-	cfg := x12Config(n, distributed.TopoRing, "both")
-	cfg.Obs = h
-	start := time.Now()
-	_, stats, err := distributed.Train(201, ds.X, y, cfg)
-	if err != nil {
-		return TopologyPerf{}, err
-	}
-	wall := time.Since(start).Seconds()
-	loss := lastLoss(stats)
-	return TopologyPerf{
-		WallS:       wall,
-		Workers:     n,
-		Rounds:      stats.Steps,
-		RoundsPerS:  float64(stats.Steps) / wall,
-		CommSimS:    stats.CommSeconds,
-		Heals:       stats.TopoHeals,
-		Degraded:    stats.TopoDegraded,
-		Joins:       stats.Joins,
-		CatchUps:    stats.CatchUps,
-		ConvergeOK:  !math.IsNaN(loss) && !math.IsInf(loss, 0),
-		ReconcileOK: h.Reg.Counter("distributed.topo_heals").Value() == int64(stats.TopoHeals),
-	}, nil
 }

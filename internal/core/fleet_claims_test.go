@@ -49,18 +49,3 @@ func TestX14FleetClaims(t *testing.T) {
 		}
 	}
 }
-
-// TestX14BenchmarkSmoke keeps the perf-sample path compiling and sane at
-// a tiny scale indirectly via FleetBenchmark's Quick arm.
-func TestX14BenchmarkSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("X14 bench smoke skipped in -short mode")
-	}
-	p, err := FleetBenchmark(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Requests != x14Requests(Quick) || p.WallS <= 0 || p.Events <= 0 {
-		t.Fatalf("degenerate perf sample %+v", p)
-	}
-}

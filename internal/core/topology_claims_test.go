@@ -63,29 +63,3 @@ func TestX12TopologyClaims(t *testing.T) {
 		}
 	}
 }
-
-// TestTopologyBenchmark checks the perf-trajectory sample the CI bench
-// step records for X12: a finite wall time, a round throughput consistent
-// with the round count, and a robustness outcome that converged and
-// reconciled.
-func TestTopologyBenchmark(t *testing.T) {
-	if testing.Short() {
-		t.Skip("X12 bench sample skipped in -short mode")
-	}
-	perf, err := TopologyBenchmark(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if perf.WallS <= 0 || perf.Rounds <= 0 || perf.Workers < 8 {
-		t.Fatalf("degenerate sample %+v", perf)
-	}
-	if got := perf.RoundsPerS * perf.WallS; got < float64(perf.Rounds)*0.99 || got > float64(perf.Rounds)*1.01 {
-		t.Fatalf("throughput %g inconsistent with rounds=%d wall=%gs", perf.RoundsPerS, perf.Rounds, perf.WallS)
-	}
-	if perf.Joins == 0 || perf.CatchUps == 0 {
-		t.Fatalf("bench cell saw no churn: %+v", perf)
-	}
-	if !perf.ConvergeOK || !perf.ReconcileOK {
-		t.Fatalf("bench cell lost convergence or reconciliation: %+v", perf)
-	}
-}

@@ -129,6 +129,13 @@ func (t *TreeNet) trainFLOPsPerExample() int64 { return 3 * t.InferenceFLOPs(1) 
 // through the trunk once and every branch computes its own cross-entropy
 // against the labels; trunk gradients are the sum of branch gradients.
 func TrainTreeNet(seed int64, x, y *tensor.Tensor, cfg TrainConfig) Result {
+	return trainTreeNet(seed, x, y, cfg, true)
+}
+
+// trainTreeNet is TrainTreeNet with the branch path chosen by the caller:
+// batched=false forces the sequential per-branch reference walk, which the
+// bit-identity test trains against the fused path.
+func trainTreeNet(seed int64, x, y *tensor.Tensor, cfg TrainConfig, batched bool) Result {
 	rng := rand.New(rand.NewSource(seed))
 	t := NewTreeNet(rng, cfg.K, cfg.Arch)
 	opt := nn.NewAdam(cfg.LR)
@@ -148,7 +155,7 @@ func TrainTreeNet(seed int64, x, y *tensor.Tensor, cfg TrainConfig) Result {
 	// The K branches share one skeleton, so their forward GEMMs batch into
 	// rank-3 BatMul calls (see treenet_batched.go) — bit-identical to the
 	// sequential per-branch walk, which remains as the reference path.
-	batched := !cfg.SequentialBranches && branchesBatchable(t)
+	batched = batched && branchesBatchable(t)
 	var res Result
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })

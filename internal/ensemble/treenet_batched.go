@@ -16,9 +16,10 @@ import (
 // is bit-identical to MatMul on the same operands (the PR-9 equivalence
 // contract), the bias and ReLU stages are element-wise, and the backward
 // pass reuses the exact rank-2 kernels (MatMulTransA/MatMulTransB/SumRows)
-// and accumulation order that Dense.Backward uses. The sequential path
-// stays reachable via TrainConfig.SequentialBranches; the equivalence test
-// trains both and compares every parameter bit for bit.
+// and accumulation order that Dense.Backward uses. TrainTreeNet takes the
+// fused path whenever branchesBatchable holds; the sequential path is the
+// fallback and the test-only reference: the equivalence test trains both
+// through trainTreeNet and compares every parameter bit for bit.
 
 // branchesBatchable reports whether every branch shares one unmasked
 // Dense/ReLU skeleton, the precondition for stacking their weights into

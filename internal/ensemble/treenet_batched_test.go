@@ -22,10 +22,8 @@ func TestTreeNetBatchedBitIdentity(t *testing.T) {
 	cfg.K = 4
 	cfg.Epochs = 4
 
-	cfg.SequentialBranches = false
 	batched := TrainTreeNet(31, train.X, y, cfg)
-	cfg.SequentialBranches = true
-	sequential := TrainTreeNet(31, train.X, y, cfg)
+	sequential := trainTreeNet(31, train.X, y, cfg, false)
 
 	if batched.Steps != sequential.Steps || batched.FLOPs != sequential.FLOPs {
 		t.Fatalf("accounting diverged: steps %d vs %d, flops %d vs %d",

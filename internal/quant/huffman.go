@@ -2,6 +2,7 @@ package quant
 
 import (
 	"container/heap"
+	"errors"
 	"fmt"
 	"sort"
 )
@@ -144,8 +145,35 @@ func (t *HuffmanTable) Encode(codes []uint16) (packed []byte, bitLen int) {
 	return buf, bitLen
 }
 
-// Decode reconstructs exactly n symbols from a packed bitstream.
-func (t *HuffmanTable) Decode(packed []byte, n int) []uint16 {
+// ErrHuffmanTruncated and ErrHuffmanInvalid classify a HuffmanError.
+var (
+	ErrHuffmanTruncated = errors.New("bitstream exhausted")
+	ErrHuffmanInvalid   = errors.New("invalid code")
+)
+
+// HuffmanError reports where Decode stopped on a bitstream it could not
+// turn into the requested symbols. errors.Is matches it against
+// ErrHuffmanTruncated (the stream ended before n symbols, possibly
+// mid-code) or ErrHuffmanInvalid (a bit sequence matches no code).
+type HuffmanError struct {
+	Err     error
+	Bit     int // bit offset at which decoding stopped
+	Decoded int // symbols decoded before the failure
+}
+
+func (e *HuffmanError) Error() string {
+	return fmt.Sprintf("quant: Huffman decode: %v at bit %d after %d symbols", e.Err, e.Bit, e.Decoded)
+}
+
+func (e *HuffmanError) Unwrap() error { return e.Err }
+
+// Decode reconstructs exactly n symbols from a packed bitstream. A
+// bitstream that ends early or holds a bit sequence no code matches
+// yields a *HuffmanError; Decode never reads past packed.
+func (t *HuffmanTable) Decode(packed []byte, n int) ([]uint16, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("quant: Huffman decode of %d symbols", n)
+	}
 	// Build a reverse map from (len, bits) to symbol.
 	rev := make(map[huffCode]uint16, len(t.codes))
 	maxLen := 0
@@ -155,28 +183,24 @@ func (t *HuffmanTable) Decode(packed []byte, n int) []uint16 {
 			maxLen = hc.len
 		}
 	}
-	out := make([]uint16, 0, n)
+	// Every code is at least one bit long, so the stream bounds the output.
+	out := make([]uint16, 0, min(n, 8*len(packed)))
 	var acc uint32
 	var accLen int
-	bitPos := 0
-	for len(out) < n {
-		if bitPos >= len(packed)*8 && accLen == 0 {
-			panic("quant: Huffman bitstream exhausted")
+	for bit := 0; len(out) < n; bit++ {
+		if bit >= 8*len(packed) {
+			return nil, &HuffmanError{Err: ErrHuffmanTruncated, Bit: bit, Decoded: len(out)}
 		}
-		// Pull one bit.
-		byteIdx := bitPos / 8
-		bit := (packed[byteIdx] >> (7 - uint(bitPos%8))) & 1
-		bitPos++
-		acc = acc<<1 | uint32(bit)
+		acc = acc<<1 | uint32(packed[bit/8]>>(7-uint(bit%8))&1)
 		accLen++
 		if sym, ok := rev[huffCode{bits: acc, len: accLen}]; ok {
 			out = append(out, sym)
 			acc, accLen = 0, 0
-		} else if accLen > maxLen {
-			panic("quant: invalid Huffman bitstream")
+		} else if accLen >= maxLen {
+			return nil, &HuffmanError{Err: ErrHuffmanInvalid, Bit: bit, Decoded: len(out)}
 		}
 	}
-	return out
+	return out, nil
 }
 
 // HuffmanBytes returns the compressed size in bytes for codes: the packed

@@ -172,7 +172,10 @@ func TestHuffmanRoundTrip(t *testing.T) {
 	if len(packed) != (bits+7)/8 {
 		t.Fatalf("packed %d bytes for %d bits", len(packed), bits)
 	}
-	decoded := table.Decode(packed, len(codes))
+	decoded, err := table.Decode(packed, len(codes))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range codes {
 		if decoded[i] != codes[i] {
 			t.Fatalf("round trip mismatch at %d: %d != %d", i, decoded[i], codes[i])
@@ -188,7 +191,10 @@ func TestHuffmanSingleSymbol(t *testing.T) {
 	codes := []uint16{7, 7, 7, 7}
 	table := BuildHuffman(codes)
 	packed, _ := table.Encode(codes)
-	decoded := table.Decode(packed, 4)
+	decoded, err := table.Decode(packed, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, d := range decoded {
 		if d != 7 {
 			t.Fatal("single-symbol round trip failed")
@@ -207,7 +213,10 @@ func TestHuffmanRoundTripQuick(t *testing.T) {
 		}
 		table := BuildHuffman(codes)
 		packed, _ := table.Encode(codes)
-		decoded := table.Decode(packed, len(codes))
+		decoded, err := table.Decode(packed, len(codes))
+		if err != nil {
+			return false
+		}
 		for i := range codes {
 			if decoded[i] != codes[i] {
 				return false

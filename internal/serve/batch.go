@@ -108,7 +108,7 @@ func (s *stackSlice) argMaxRow(r int) int {
 // tierPredictions scores one representative model per tier over the eval
 // matrix, batching same-architecture Dense+ReLU networks through the rank-3
 // kernel and falling back to individual Predict calls for everything else
-// (int8 and f32 paths, mixed architectures).
+// (the int8 path, mixed architectures).
 func tierPredictions(reps [numTiers]Predictor, evalX *tensor.Tensor) (preds [numTiers][]int) {
 	type member struct {
 		tier Tier

@@ -6,7 +6,6 @@ import (
 
 	"dlsys/internal/data"
 	"dlsys/internal/nn"
-	"dlsys/internal/quant"
 )
 
 // Batched tier predictions must be exactly the predictions the per-tier
@@ -70,35 +69,5 @@ func TestTierPredictionsMatchPerTier(t *testing.T) {
 				t.Fatalf("tier %v row %d: %d != %d", tier, r, got[tier][r], want[r])
 			}
 		}
-	}
-}
-
-// The Float32 opt-in swaps the full tier to the f32 inference path with
-// half the streamed bytes; off, the ladder stays the historical one.
-func TestBuildVariantsFloat32OptIn(t *testing.T) {
-	f64v, _, err := BuildVariants(VariantsConfig{Seed: 6, Examples: 600, Epochs: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f32v, _, err := BuildVariants(VariantsConfig{Seed: 6, Examples: 600, Epochs: 6, Float32: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f64v[0].Name != "full-fp32" {
-		t.Fatalf("default full tier: %s", f64v[0].Name)
-	}
-	if f32v[0].Name != "full-f32" {
-		t.Fatalf("opt-in full tier: %s", f32v[0].Name)
-	}
-	if _, ok := f32v[0].Model.(*quant.F32MLP); !ok {
-		t.Fatalf("opt-in full tier model is %T", f32v[0].Model)
-	}
-	// The full tier was always priced as fp32 streaming; the opt-in makes
-	// the executed path match the priced one, so the cost figure is equal.
-	if f32v[0].Bytes != f64v[0].Bytes {
-		t.Fatalf("f32 bytes %d should equal the fp32-priced %d", f32v[0].Bytes, f64v[0].Bytes)
-	}
-	if f32v[0].Accuracy < f64v[0].Accuracy-0.02 {
-		t.Fatalf("f32 accuracy %g fell more than noise below %g", f32v[0].Accuracy, f64v[0].Accuracy)
 	}
 }

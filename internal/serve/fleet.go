@@ -231,37 +231,16 @@ func (r FleetResult) RecoveredBy(t, target float64) float64 {
 	return -1
 }
 
-// fleetLedger incrementally fingerprints every final request outcome with
-// FNV-1a, so the ledger costs O(1) memory at any scale. Fingerprints are
-// only ever compared between in-process runs, never persisted.
-type fleetLedger struct {
-	h       uint64
-	started bool
-}
-
-func (l *fleetLedger) init() {
-	if !l.started {
-		l.h = 14695981039346656037 // FNV-1a 64-bit offset basis
-		l.started = true
-	}
-}
-
-func (l *fleetLedger) word(v uint64) {
-	for i := 0; i < 8; i++ {
-		l.h ^= v & 0xff
-		l.h *= 1099511628211
-		v >>= 8
-	}
-}
-
-func (l *fleetLedger) fold(rq fleetReq, oc Outcome, finish float64) {
-	l.init()
-	l.word(uint64(rq.id))
-	l.word(uint64(rq.tenant))
-	l.word(uint64(rq.key))
-	l.word(uint64(rq.attempt) | uint64(oc)<<8)
-	l.word(math.Float64bits(rq.first))
-	l.word(math.Float64bits(finish))
+// foldOutcome folds one final request outcome into the fleet's ledger
+// fingerprint. Fingerprints are only ever compared between in-process
+// runs, never persisted.
+func foldOutcome(l *sim.FNV, rq fleetReq, oc Outcome, finish float64) {
+	l.AddWord(uint64(rq.id))
+	l.AddWord(uint64(rq.tenant))
+	l.AddWord(uint64(rq.key))
+	l.AddWord(uint64(rq.attempt) | uint64(oc)<<8)
+	l.AddWord(math.Float64bits(rq.first))
+	l.AddWord(math.Float64bits(finish))
 }
 
 // fleetLatBuckets is the resolution of the fixed latency histogram:
@@ -312,7 +291,7 @@ type Fleet struct {
 	latHist  [fleetLatBuckets + 1]int
 	latWidth float64
 	buckets  []GoodputBucket
-	ledger   fleetLedger
+	ledger   sim.FNV
 
 	perItemS float64 // amortized service per request at full batch
 
@@ -606,7 +585,7 @@ func (f *Fleet) finishServed(rq fleetReq, stamp float64) {
 	f.obs.served.Inc()
 	f.obs.tenantServed[rq.tenant].Inc()
 	f.bucketAt(stamp).Served++
-	f.ledger.fold(rq, Served, stamp)
+	foldOutcome(&f.ledger, rq, Served, stamp)
 	f.finalize(stamp)
 }
 
@@ -633,12 +612,12 @@ func (f *Fleet) failAttempt(rq fleetReq, now float64, shed bool) {
 		f.tenants[rq.tenant].Shed++
 		f.obs.shed.Inc()
 		f.obs.tenantShed[rq.tenant].Inc()
-		f.ledger.fold(rq, Shed, now)
+		foldOutcome(&f.ledger, rq, Shed, now)
 	} else {
 		f.tenants[rq.tenant].Failed++
 		f.obs.failed.Inc()
 		f.obs.tenantFailed[rq.tenant].Inc()
-		f.ledger.fold(rq, Failed, now)
+		foldOutcome(&f.ledger, rq, Failed, now)
 	}
 	f.finalize(now)
 }
@@ -730,7 +709,7 @@ func (f *Fleet) Result() FleetResult {
 		BucketS:           f.cfg.BucketS,
 		Buckets:           f.buckets,
 		VirtualS:          f.lastS,
-		LedgerFP:          f.ledgerFingerprint(),
+		LedgerFP:          f.ledger.Sum64(),
 	}
 	for i := range f.tenants {
 		ts := f.tenants[i]
@@ -747,13 +726,6 @@ func (f *Fleet) Result() FleetResult {
 	r.P99S = f.latQuantile(0.99)
 	f.res = r
 	return r
-}
-
-// LedgerFingerprint exposes the running ledger hash (for replay checks
-// on shared-kernel runs before Result is built).
-func (f *Fleet) ledgerFingerprint() uint64 {
-	f.ledger.init()
-	return f.ledger.h
 }
 
 // latQuantile reads the q-quantile off the fixed latency histogram,

@@ -79,14 +79,6 @@ type VariantsConfig struct {
 
 	DistillWidth  int     // student hidden width (default 8)
 	PruneSparsity float64 // default 0.7
-
-	// Float32 swaps the full tier's served model to the float32 inference
-	// path (tensor engine f32 tier). The full tier has always been PRICED
-	// as fp32 streaming (ParamBytes(32)); this makes the executed path
-	// match the priced one at half the in-memory footprint. Off by
-	// default — the float64 ladder is the historical, bit-reproducible
-	// configuration.
-	Float32 bool
 }
 
 func (c *VariantsConfig) defaults() {
@@ -146,14 +138,6 @@ func BuildVariants(cfg VariantsConfig) ([]Variant, *data.Dataset, error) {
 		Accuracy: full.Accuracy(eval.X, eval.Labels),
 		FLOPs:    full.FLOPs(1), Bytes: full.ParamBytes(32),
 	}}
-	if cfg.Float32 {
-		f32 := quant.CompileF32MLP(full)
-		variants[0] = Variant{
-			Tier: TierFull, Name: "full-f32", Model: f32,
-			Accuracy: f32.Accuracy(eval.X, eval.Labels),
-			FLOPs:    full.FLOPs(1), Bytes: f32.Bytes(),
-		}
-	}
 
 	// Quantized: the integer-only inference path — same architecture,
 	// int8 weights, a quarter of the streamed bytes.

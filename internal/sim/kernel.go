@@ -32,7 +32,6 @@ package sim
 import (
 	"container/heap"
 	"fmt"
-	"hash/fnv"
 	"math"
 )
 
@@ -96,45 +95,58 @@ type Kernel struct {
 	queue     eventQueue
 	processed int
 	actors    map[string]*Actor
-	log       logHash
+	log       FNV
 }
 
-// logHash incrementally fingerprints the execution log so replay
-// verification costs O(1) memory regardless of run length.
-type logHash struct {
+// FNV is an incremental FNV-1a 64-bit hash for replay fingerprints: the
+// kernel's execution log and the serving fleet's outcome ledger. It folds
+// fixed-width values without allocating, so a fingerprint costs O(1)
+// memory at any run length. The zero value is ready to use, and its
+// Sum64 equals hash/fnv.New64a over the same bytes.
+type FNV struct {
 	h       uint64
 	started bool
 }
 
-func (l *logHash) init() {
-	if !l.started {
-		l.h = fnv.New64a().Sum64() // FNV-1a offset basis
-		l.started = true
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+func (f *FNV) init() {
+	if !f.started {
+		f.h = fnvOffset
+		f.started = true
 	}
 }
 
-// word folds one 64-bit value into the hash byte by byte, little-endian.
-// Splitting into bytes keeps the stream identical in spirit to the textual
-// log (every bit of every field reaches the FNV state) while avoiding the
-// fmt round-trip that dominated Step at million-event scale.
-func (l *logHash) word(v uint64) {
+// AddWord folds one 64-bit value into the hash byte by byte,
+// little-endian. Splitting into bytes keeps the stream identical in
+// spirit to a textual log (every bit of every field reaches the FNV
+// state) while avoiding the fmt round-trip that dominated Step at
+// million-event scale.
+func (f *FNV) AddWord(v uint64) {
+	f.init()
 	for i := 0; i < 8; i++ {
-		l.h ^= v & 0xff
-		l.h *= 1099511628211
+		f.h ^= v & 0xff
+		f.h *= fnvPrime
 		v >>= 8
 	}
 }
 
-// event folds one executed event — actor name, scheduled stamp, sequence
-// number — into the log hash without allocating.
-func (l *logHash) event(actor string, t float64, seq uint64) {
-	l.init()
-	for i := 0; i < len(actor); i++ {
-		l.h ^= uint64(actor[i])
-		l.h *= 1099511628211
+// AddString folds the bytes of s into the hash.
+func (f *FNV) AddString(s string) {
+	f.init()
+	for i := 0; i < len(s); i++ {
+		f.h ^= uint64(s[i])
+		f.h *= fnvPrime
 	}
-	l.word(math.Float64bits(t))
-	l.word(seq)
+}
+
+// Sum64 returns the hash of everything folded so far.
+func (f *FNV) Sum64() uint64 {
+	f.init()
+	return f.h
 }
 
 // New builds an empty kernel with the clock at zero.
@@ -221,7 +233,9 @@ func (k *Kernel) Step() bool {
 			k.now = ev.t
 		}
 		k.processed++
-		k.log.event(ev.actor, ev.t, ev.seq)
+		k.log.AddString(ev.actor)
+		k.log.AddWord(math.Float64bits(ev.t))
+		k.log.AddWord(ev.seq)
 		if a, ok := k.actors[ev.actor]; ok {
 			a.fired++
 		}
@@ -280,7 +294,4 @@ func (k *Kernel) RunUntil(t float64) int {
 // number. Two runs of the same scenario must produce identical
 // fingerprints; any divergence in ordering, timing, or event population
 // shows up here even if downstream metrics happen to agree.
-func (k *Kernel) Fingerprint() uint64 {
-	k.log.init()
-	return k.log.h
-}
+func (k *Kernel) Fingerprint() uint64 { return k.log.Sum64() }

@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -242,5 +245,32 @@ func TestCancelledEventsExcludedFromFingerprint(t *testing.T) {
 	}
 	if k.Processed() != 2 {
 		t.Fatalf("processed %d, want 2", k.Processed())
+	}
+}
+
+// FNV must equal the standard library's FNV-1a over the same bytes: words
+// as 8 little-endian bytes, strings as their raw bytes.
+func TestFNVMatchesStdlib(t *testing.T) {
+	var f FNV
+	ref := fnv.New64a()
+	if f.Sum64() != ref.Sum64() {
+		t.Fatalf("empty hash %x, want the offset basis %x", f.Sum64(), ref.Sum64())
+	}
+	rng := rand.New(rand.NewSource(1))
+	var buf [8]byte
+	for i := 0; i < 200; i++ {
+		if rng.Intn(2) == 0 {
+			v := rng.Uint64()
+			f.AddWord(v)
+			binary.LittleEndian.PutUint64(buf[:], v)
+			ref.Write(buf[:])
+		} else {
+			s := string(rune('a'+rng.Intn(26))) + "-actor"
+			f.AddString(s)
+			ref.Write([]byte(s))
+		}
+		if f.Sum64() != ref.Sum64() {
+			t.Fatalf("after %d folds: %x, want %x", i+1, f.Sum64(), ref.Sum64())
+		}
 	}
 }

@@ -15,10 +15,10 @@ import "sync"
 //	            persistent worker pool (parallel.go).
 //	batched   — BatMul: the tiled/pooled kernel applied per batch slice of
 //	            contiguous stride-indexed rank-3 operands.
-//	f32       — gemm32.go: the same tiling for float32 storage (serving-side
-//	            inference), bounded-ULP against the float64 reference.
 //
-// Determinism contract: every float64 tier accumulates each output element
+// Per-tier throughput: go test -bench 'GEMM|BatMul' ./internal/tensor
+//
+// Determinism contract: every tier accumulates each output element
 // with a single accumulator over ascending k, so for finite inputs all
 // tiers produce bit-identical results — parallelism only changes which
 // worker computes a row, never the arithmetic order. (The reference kernel

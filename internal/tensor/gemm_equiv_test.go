@@ -7,9 +7,9 @@ import (
 )
 
 // The kernel-equivalence suite: every faster tier of the GEMM hierarchy is
-// pinned to the serial float64 reference — bit-exactly for the f64 tiers,
-// within bounded ULP error for the f32 tier — across the edge shapes that
-// exercise tile remainders, single rows, and degenerate dimensions.
+// pinned bit-exactly to the serial float64 reference across the edge
+// shapes that exercise tile remainders, single rows, and degenerate
+// dimensions.
 
 // equivShapes covers 1×1, m=1, tile-multiple and non-multiple dims, the
 // AVX 8-row boundary, and shapes spanning the usePacked threshold.
@@ -139,74 +139,6 @@ func TestMatMulKZeroYieldsZeros(t *testing.T) {
 	out := MatMul(New(3, 0), New(0, 4))
 	if out.Dim(0) != 3 || out.Dim(1) != 4 || out.AbsMax() != 0 {
 		t.Fatalf("k=0 product: %v", out)
-	}
-}
-
-// The f32 tier tracks the float64 reference within bounded relative error:
-// each output element is a k-term float32 dot product, so the error is
-// bounded by ~k·eps32 relative to the accumulated magnitude.
-func TestFloat32TierBoundedULP(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	for _, s := range equivShapes {
-		a := randMat(rng, s.m, s.k)
-		b := randMat(rng, s.k, s.n)
-		ref := MatMulRef(a, b)
-		got := MatMul32(ToFloat32(a), ToFloat32(b))
-		const eps32 = 1.1920929e-07
-		// |Σ aᵢbᵢ| can cancel, so bound against the magnitude sum.
-		mags := MatMulRef(Apply(a, math.Abs), Apply(b, math.Abs))
-		for i := range ref.Data {
-			bound := (float64(s.k)+2)*eps32*mags.Data[i] + 1e-30
-			if d := math.Abs(float64(got.Data[i]) - ref.Data[i]); d > bound {
-				t.Fatalf("f32 error %g exceeds bound %g at %dx%dx%d elem %d",
-					d, bound, s.m, s.k, s.n, i)
-			}
-		}
-	}
-}
-
-// Both f32 paths (packed and reference) must agree with each other
-// bit-exactly, same contract as the f64 tiers.
-func TestFloat32PathsAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(46))
-	a32 := ToFloat32(randMat(rng, 33, 65))
-	b32 := ToFloat32(randMat(rng, 65, 29))
-	packed := MatMul32(a32, b32) // usePacked(33, 65, 29) is true
-	// Force the reference loop by slicing into small products.
-	for i := 0; i < 33; i++ {
-		row := &Tensor32{shape: []int{1, 65}, Data: a32.Data[i*65 : (i+1)*65]}
-		want := MatMul32(row, b32) // 1 row -> reference loop
-		for j := 0; j < 29; j++ {
-			if packed.Data[i*29+j] != want.Data[j] {
-				t.Fatalf("f32 packed != f32 reference at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
-func TestMatMul32ShapeErrors(t *testing.T) {
-	if _, err := MatMul32Checked(New32(2, 3), New32(4, 2)); err == nil {
-		t.Fatal("inner mismatch accepted")
-	}
-	if _, err := MatMul32Checked(New32(2), New32(2, 2)); err == nil {
-		t.Fatal("rank mismatch accepted")
-	}
-}
-
-func TestTensor32Conversions(t *testing.T) {
-	src := FromSlice([]float64{1.5, -2.25, 0, 3e30}, 2, 2)
-	t32 := ToFloat32(src)
-	back := t32.ToFloat64()
-	for i, v := range src.Data {
-		if back.Data[i] != float64(float32(v)) {
-			t.Fatalf("round-trip elem %d: %g", i, back.Data[i])
-		}
-	}
-	if t32.Rank() != 2 || t32.Dim(1) != 2 || t32.Size() != 4 {
-		t.Fatal("Tensor32 accessors")
-	}
-	if got := t32.ArgMaxRow(1); got != 1 {
-		t.Fatalf("ArgMaxRow: %d", got)
 	}
 }
 
