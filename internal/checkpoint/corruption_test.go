@@ -25,7 +25,9 @@ func TestStoreSkipsInjectorCorruptedSnapshots(t *testing.T) {
 		for i := range params {
 			params[i] += float64(round)
 		}
-		net.SetParamVector(params)
+		if err := net.SetParamVector(params); err != nil {
+			t.Fatal(err)
+		}
 		vectors = append(vectors, params)
 		st.Put(TakeSnapshot(round, net))
 	}

@@ -63,17 +63,14 @@ func (s Snapshot) Params() ([]float64, error) {
 }
 
 // Restore verifies the CRC and writes the snapshot's parameters back into
-// the network. The network must have the same parameter count.
+// the network. A network with a different parameter count is rejected
+// with the *nn.VectorLengthError SetParamVector returns.
 func (s Snapshot) Restore(net *nn.Network) error {
 	params, err := s.Params()
 	if err != nil {
 		return err
 	}
-	if got, want := len(params), net.NumParams(); got != want {
-		return fmt.Errorf("checkpoint: snapshot holds %d params, network has %d", got, want)
-	}
-	net.SetParamVector(params)
-	return nil
+	return net.SetParamVector(params)
 }
 
 // Store keeps a bounded history of snapshots in a fixed-capacity ring and

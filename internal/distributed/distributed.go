@@ -416,7 +416,7 @@ func syncRound(active []*worker, x, y *tensor.Tensor, cfg Config, net *transport
 	commSpan := span.Child("comm", roundStart+computeS)
 	commSpan.End(roundStart + computeS + uplinkS + downlinkS)
 	for _, wk := range active {
-		wk.net.SetGradVector(avgGrad)
+		mustSetVector(wk.net.SetGradVector(avgGrad))
 		wk.trainer.Opt.Step(wk.net.Params())
 		wk.net.PostStep()
 	}
@@ -596,7 +596,7 @@ func syncRoundCollective(active []*worker, x, y *tensor.Tensor, cfg Config, net 
 	agg.Aggregate(avgGrad, grads)
 	observeDistances(rep, ids, grads, avgGrad)
 	for _, wk := range active {
-		wk.net.SetGradVector(avgGrad)
+		mustSetVector(wk.net.SetGradVector(avgGrad))
 		wk.trainer.Opt.Step(wk.net.Params())
 		wk.net.PostStep()
 	}
@@ -700,7 +700,7 @@ func averageRound(active []*worker, cfg Config, net *transport, clk *jobClock, r
 		if elapsed > downlinkS {
 			downlinkS = elapsed
 		}
-		wk.net.SetParamVector(avg)
+		mustSetVector(wk.net.SetParamVector(avg))
 	}
 	clk.advance(downlinkS)
 	stats.AveragingRound++
@@ -757,7 +757,7 @@ func averageRoundCollective(active []*worker, cfg Config, net *transport, clk *j
 	agg.Aggregate(avg, vecs)
 	observeDistances(rep, ids, vecs, avg)
 	for _, wk := range active {
-		wk.net.SetParamVector(avg)
+		mustSetVector(wk.net.SetParamVector(avg))
 	}
 	stats.AveragingRound++
 	net.obs.rounds.Inc()
@@ -897,7 +897,7 @@ func averageParams(workers []*worker) {
 		avg[i] /= float64(len(workers))
 	}
 	for _, wk := range workers {
-		wk.net.SetParamVector(avg)
+		mustSetVector(wk.net.SetParamVector(avg))
 	}
 }
 
@@ -1080,4 +1080,14 @@ func StepTimeModel(arch nn.MLPConfig, prof device.Profile, priority bool) float6
 		done = start + e.compute
 	}
 	return done
+}
+
+// mustSetVector panics on a SetParamVector/SetGradVector length error.
+// Every network in a run is built from the run's one MLPConfig, so the
+// parameter and gradient vectors exchanged between them always match: a
+// mismatch is an internal invariant violation, not caller input.
+func mustSetVector(err error) {
+	if err != nil {
+		panic(err)
+	}
 }

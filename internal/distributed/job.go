@@ -142,7 +142,7 @@ func NewJob(seed int64, x, y *tensor.Tensor, cfg Config) (*Job, error) {
 	shards := shardIndices(x.Dim(0), cfg.Workers)
 	for w := range j.workers {
 		wnet := nn.NewMLP(rand.New(rand.NewSource(seed)), cfg.Arch)
-		wnet.SetParamVector(j.global.ParamVector())
+		mustSetVector(wnet.SetParamVector(j.global.ParamVector()))
 		wrng := rand.New(rand.NewSource(fault.WorkerSeed(seed, w)))
 		j.workers[w] = &worker{
 			id:       w,
@@ -335,7 +335,7 @@ func (j *Job) applyChurn(ev ChurnEvent) {
 	} else {
 		for _, peer := range j.workers {
 			if peer != wk && !peer.absent && peer.downTo == 0 {
-				wk.net.SetParamVector(peer.net.ParamVector())
+				mustSetVector(wk.net.SetParamVector(peer.net.ParamVector()))
 				break
 			}
 		}
@@ -376,7 +376,7 @@ func (j *Job) Result() (*nn.Network, Stats, error) {
 		final = j.workers
 	}
 	averageParams(final)
-	j.global.SetParamVector(final[0].net.ParamVector())
+	mustSetVector(j.global.SetParamVector(final[0].net.ParamVector()))
 	if j.rep != nil {
 		led := j.rep.Ledger()
 		stats.Quarantine = led

@@ -221,7 +221,11 @@ func (g *Trainer) StepLR(bx, by *tensor.Tensor, lrFactor float64) (loss float64,
 		for i := range grads {
 			grads[i] *= scale
 		}
-		g.Inner.Net.SetGradVector(grads)
+		// grads came from this network's GradVector, so the length always
+		// matches: an error here is an internal invariant violation.
+		if err := g.Inner.Net.SetGradVector(grads); err != nil {
+			panic(err)
+		}
 		g.record(Incident{Step: step, Kind: KindGradExplosion, Action: ActionClipGrad, Value: norm})
 		g.applyHealthy(step, loss, target)
 		return loss, true

@@ -129,7 +129,9 @@ func TestOptimizerStateResetDeterministic(t *testing.T) {
 			bx, by := nn.GatherBatch(ds.X, y, []int{0, 1, 2, 3})
 			snap := append([]float64(nil), net.ParamVector()...)
 			tr.Step(bx, by)
-			net.SetParamVector(snap)
+			if err := net.SetParamVector(snap); err != nil {
+				t.Fatal(err)
+			}
 			opt.(nn.StateResetter).ResetState()
 		}
 		for i := 0; i < 5; i++ {

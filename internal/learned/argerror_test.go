@@ -159,3 +159,40 @@ func TestRMIFromCoeffsRejectsMalformed(t *testing.T) {
 		t.Fatalf("well-formed vector rejected: %v", err)
 	}
 }
+
+// Caller input that used to panic inside BuildLearnedBloom — an index past
+// an empty key set, a negative threshold quantile index, a hidden width
+// nn.NewMLP refuses — is rejected with an *ArgError before any training.
+func TestBuildLearnedBloomArgErrors(t *testing.T) {
+	keys := []uint64{3, 9, 27, 81}
+	negs := []uint64{1, 2, 4, 5}
+	ok := LearnedBloomConfig{Hidden: 4, Epochs: 1, LR: 0.01, TargetFPR: 0.05, BackupFPR: 0.05}
+	with := func(f func(*LearnedBloomConfig)) LearnedBloomConfig {
+		c := ok
+		f(&c)
+		return c
+	}
+	for _, c := range []struct {
+		name       string
+		keys, negs []uint64
+		cfg        LearnedBloomConfig
+	}{
+		{"empty keys", nil, negs, ok},
+		{"empty negatives", keys, nil, ok},
+		{"target FPR above 1", keys, negs, with(func(c *LearnedBloomConfig) { c.TargetFPR = 1.5 })},
+		{"target FPR NaN", keys, negs, with(func(c *LearnedBloomConfig) { c.TargetFPR = math.NaN() })},
+		{"zero hidden width", keys, negs, with(func(c *LearnedBloomConfig) { c.Hidden = 0 })},
+		{"negative hidden width", keys, negs, with(func(c *LearnedBloomConfig) { c.Hidden = -3 })},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			lb, err := BuildLearnedBloom(rand.New(rand.NewSource(1)), c.keys, c.negs, c.cfg)
+			var ae *ArgError
+			if lb != nil || !errors.As(err, &ae) || ae.Fn != "BuildLearnedBloom" {
+				t.Fatalf("got (%v, %v), want (nil, *ArgError from BuildLearnedBloom)", lb, err)
+			}
+		})
+	}
+	if _, err := BuildLearnedBloom(rand.New(rand.NewSource(1)), keys, negs, ok); err != nil {
+		t.Fatalf("valid input rejected: %v", err)
+	}
+}

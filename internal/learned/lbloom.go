@@ -1,6 +1,7 @@
 package learned
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -31,25 +32,35 @@ type LearnedBloomConfig struct {
 	BackupFPR float64 // backup filter's own target
 }
 
-// keyFeatures maps a key to classifier features: the normalised key plus
-// two smooth periodic transforms that help the tiny net carve out dense key
-// regions.
-func keyFeatures(k uint64, scale float64) []float64 {
+// keyFeatures writes a key's classifier features into dst: the normalised
+// key plus two smooth periodic transforms that help the tiny net carve out
+// dense key regions.
+func keyFeatures(dst []float64, k uint64, scale float64) {
 	x := float64(k) / scale
-	return []float64{
-		x,
-		math.Sin(2 * math.Pi * x * 8),
-		math.Cos(2 * math.Pi * x * 32),
-	}
+	dst[0] = x
+	dst[1] = math.Sin(2 * math.Pi * x * 8)
+	dst[2] = math.Cos(2 * math.Pi * x * 32)
 }
 
 const numKeyFeatures = 3
 
 // BuildLearnedBloom trains the classifier on the key set against the given
 // sample of negatives and assembles the backup filter from the classifier's
-// false negatives. A typed error from the backup filter rejects a
-// BackupFPR outside (0,1).
+// false negatives. keys must be sorted ascending (its last element is the
+// largest key). An empty key or negative set, a Hidden width below 1 or a
+// TargetFPR outside [0,1] is rejected with an *ArgError; a typed error
+// from the backup filter rejects a BackupFPR outside (0,1).
 func BuildLearnedBloom(rng *rand.Rand, keys, negatives []uint64, cfg LearnedBloomConfig) (*LearnedBloom, error) {
+	switch {
+	case len(keys) == 0:
+		return nil, &ArgError{Fn: "BuildLearnedBloom", Reason: "empty key set"}
+	case len(negatives) == 0:
+		return nil, &ArgError{Fn: "BuildLearnedBloom", Reason: "empty negative sample"}
+	case cfg.Hidden < 1:
+		return nil, &ArgError{Fn: "BuildLearnedBloom", Reason: fmt.Sprintf("hidden width %d < 1", cfg.Hidden)}
+	case !(cfg.TargetFPR >= 0 && cfg.TargetFPR <= 1):
+		return nil, &ArgError{Fn: "BuildLearnedBloom", Reason: fmt.Sprintf("target FPR %g outside [0,1]", cfg.TargetFPR)}
+	}
 	maxKey := keys[len(keys)-1]
 	for _, k := range negatives {
 		if k > maxKey {
@@ -62,11 +73,11 @@ func BuildLearnedBloom(rng *rand.Rand, keys, negatives []uint64, cfg LearnedBloo
 	x := tensor.New(n, numKeyFeatures)
 	labels := make([]int, n)
 	for i, k := range keys {
-		copy(x.Row(i), keyFeatures(k, scale))
+		keyFeatures(x.Row(i), k, scale)
 		labels[i] = 1
 	}
 	for i, k := range negatives {
-		copy(x.Row(len(keys)+i), keyFeatures(k, scale))
+		keyFeatures(x.Row(len(keys)+i), k, scale)
 	}
 	model := nn.NewMLP(rng, nn.MLPConfig{In: numKeyFeatures, Hidden: []int{cfg.Hidden}, Out: 2})
 	tr := nn.NewTrainer(model, nn.NewSoftmaxCrossEntropy(), nn.NewAdam(cfg.LR), rng)
@@ -82,11 +93,14 @@ func BuildLearnedBloom(rng *rand.Rand, keys, negatives []uint64, cfg LearnedBloo
 	}
 	lb.threshold = negScores[qIdx]
 
-	// Backup filter over the classifier's false negatives.
+	// Backup filter over the classifier's false negatives, found with one
+	// batched pass over the keys. Rows of the batched forward are
+	// independent and every GEMM tier sums each element in the same order,
+	// so each score equals the single-key score bit for bit (gemm.go).
 	var fns []uint64
-	for _, k := range keys {
-		if lb.score(k) < lb.threshold {
-			fns = append(fns, k)
+	for i, s := range lb.scores(keys) {
+		if s < lb.threshold {
+			fns = append(fns, keys[i])
 		}
 	}
 	backup, err := db.NewBloom(maxInt(len(fns), 1), cfg.BackupFPR)
@@ -111,20 +125,21 @@ func sortFloats(a []float64) { sort.Float64s(a) }
 
 // score returns the classifier's positive-class probability for a key.
 func (lb *LearnedBloom) score(k uint64) float64 {
-	x := tensor.FromSlice(keyFeatures(k, lb.keyScale), 1, numKeyFeatures)
+	x := tensor.New(1, numKeyFeatures)
+	keyFeatures(x.Data, k, lb.keyScale)
 	probs := nn.Softmax(lb.model.Forward(x, false))
-	return probs.At(0, 1)
+	return probs.Row(0)[1]
 }
 
 func (lb *LearnedBloom) scores(keys []uint64) []float64 {
 	x := tensor.New(len(keys), numKeyFeatures)
 	for i, k := range keys {
-		copy(x.Row(i), keyFeatures(k, lb.keyScale))
+		keyFeatures(x.Row(i), k, lb.keyScale)
 	}
 	probs := nn.Softmax(lb.model.Forward(x, false))
 	out := make([]float64, len(keys))
 	for i := range out {
-		out[i] = probs.At(i, 1)
+		out[i] = probs.Row(i)[1]
 	}
 	return out
 }

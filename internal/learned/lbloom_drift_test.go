@@ -1,6 +1,7 @@
 package learned
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -72,4 +73,22 @@ func sortedContains(sorted []uint64, k uint64) bool {
 		}
 	}
 	return lo < len(sorted) && sorted[lo] == k
+}
+
+// The false-negative scan scores every key in one batched forward; each
+// batched score must equal the single-key score bit for bit, so the backup
+// filter holds exactly the keys a per-key scan would put there.
+func TestBatchedScoresMatchSingleKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	keys := ClusteredKeys(rng, 3000, 4, 1<<40)
+	negs := data.NegativeKeys(rng, keys, 1500)
+	lb, err := BuildLearnedBloom(rng, keys, negs, LearnedBloomConfig{Hidden: 8, Epochs: 2, LR: 0.01, TargetFPR: 0.025, BackupFPR: 0.025})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range lb.scores(keys) {
+		if one := lb.score(keys[i]); math.Float64bits(one) != math.Float64bits(s) {
+			t.Fatalf("key %d: batched score %v != single-key score %v", keys[i], s, one)
+		}
+	}
 }

@@ -8,9 +8,10 @@ import (
 
 // ReLU applies max(0, x) element-wise.
 type ReLU struct {
-	name string
-	mask []bool // which inputs were positive
-	n    int
+	name  string
+	mask  []bool // which inputs were positive
+	n     int
+	y, dx *tensor.Tensor // training workspaces (see Layer)
 }
 
 // NewReLU creates a ReLU activation layer.
@@ -21,36 +22,43 @@ func (r *ReLU) Name() string { return r.name }
 
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := tensor.New(x.Shape()...)
-	if train {
-		if cap(r.mask) < x.Size() {
-			r.mask = make([]bool, x.Size())
-		}
-		r.mask = r.mask[:x.Size()]
-		r.n = x.Size()
-	}
-	for i, v := range x.Data {
-		if v > 0 {
-			out.Data[i] = v
-			if train {
-				r.mask[i] = true
+	if !train {
+		out := tensor.New(x.Shape()...)
+		for i, v := range x.Data {
+			if v > 0 {
+				out.Data[i] = v
 			}
-		} else if train {
-			r.mask[i] = false
 		}
+		return out
 	}
-	return out
+	if cap(r.mask) < x.Size() {
+		r.mask = make([]bool, x.Size())
+	}
+	r.mask = r.mask[:x.Size()]
+	r.n = x.Size()
+	r.y = workspaceLike(r.y, x)
+	y, mask := r.y.Data[:len(x.Data)], r.mask[:len(x.Data)]
+	for i, v := range x.Data {
+		pos := v > 0
+		if !pos {
+			v = 0
+		}
+		y[i], mask[i] = v, pos
+	}
+	return r.y
 }
 
 // Backward implements Layer.
 func (r *ReLU) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	dx := tensor.New(dout.Shape()...)
+	r.dx = workspaceLike(r.dx, dout)
+	dx, mask := r.dx.Data[:len(dout.Data)], r.mask[:len(dout.Data)]
 	for i, v := range dout.Data {
-		if r.mask[i] {
-			dx.Data[i] = v
+		if !mask[i] {
+			v = 0
 		}
+		dx[i] = v
 	}
-	return dx
+	return r.dx
 }
 
 // Params implements Layer.
@@ -155,8 +163,15 @@ func Softmax(logits *tensor.Tensor) *tensor.Tensor {
 	if logits.Rank() != 2 {
 		panic("nn: Softmax requires rank-2 logits")
 	}
-	m, n := logits.Dim(0), logits.Dim(1)
-	out := tensor.New(m, n)
+	out := tensor.New(logits.Dim(0), logits.Dim(1))
+	softmaxInto(out, logits)
+	return out
+}
+
+// softmaxInto writes the row-wise softmax of the rank-2 logits into out,
+// which has the same shape.
+func softmaxInto(out, logits *tensor.Tensor) {
+	m := logits.Dim(0)
 	for i := 0; i < m; i++ {
 		row := logits.Row(i)
 		orow := out.Row(i)
@@ -176,7 +191,6 @@ func Softmax(logits *tensor.Tensor) *tensor.Tensor {
 			orow[j] /= sum
 		}
 	}
-	return out
 }
 
 // SoftmaxTemperature is Softmax with logits divided by temperature T first.

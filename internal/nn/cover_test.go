@@ -1,7 +1,9 @@
 package nn
 
 import (
+	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"dlsys/internal/tensor"
@@ -135,15 +137,33 @@ func TestBackwardWithoutForwardPanics(t *testing.T) {
 	}
 }
 
-func TestSetParamVectorLengthMismatchPanics(t *testing.T) {
+// A vector of the wrong length — short, long or empty — is rejected with a
+// typed error before any parameter or gradient is written.
+func TestSetParamVectorLengthMismatchErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	net := NewMLP(rng, MLPConfig{In: 2, Hidden: []int{2}, Out: 2})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+	want := net.NumParams()
+	before := net.ParamVector()
+	grads := net.GradVector()
+	for _, n := range []int{0, 3, want - 1, want + 1} {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = 7
 		}
-	}()
-	net.SetParamVector(make([]float64, 3))
+		for name, set := range map[string]func([]float64) error{
+			"SetParamVector": net.SetParamVector,
+			"SetGradVector":  net.SetGradVector,
+		} {
+			err := set(v)
+			var le *VectorLengthError
+			if !errors.As(err, &le) || le.Fn != name || le.Got != n || le.Want != want {
+				t.Fatalf("%s(len %d): got %v, want *VectorLengthError{%s %d %d}", name, n, err, name, n, want)
+			}
+		}
+	}
+	if !reflect.DeepEqual(net.ParamVector(), before) || !reflect.DeepEqual(net.GradVector(), grads) {
+		t.Fatal("a rejected vector modified the network")
+	}
 }
 
 func TestDropoutBadRate(t *testing.T) {

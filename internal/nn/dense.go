@@ -18,6 +18,9 @@ type Dense struct {
 	mask *tensor.Tensor
 
 	x *tensor.Tensor // cached input for backward
+	// Training workspaces: the output, both parameter gradients and the
+	// input gradient, reused across training calls (see Layer).
+	y, dw, db, dx *tensor.Tensor
 }
 
 // NewDense creates a Dense layer with He-initialised weights, appropriate
@@ -78,33 +81,59 @@ func (d *Dense) applyMask() {
 	}
 }
 
-// Forward implements Layer.
+// Forward implements Layer. The bias is added in place after the product,
+// row[j] + b[j], the same arithmetic as tensor.AddRowVector.
 func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	d.applyMask()
+	m, n := x.Dim(0), d.Out()
+	var y *tensor.Tensor
 	if train {
 		d.x = x
+		d.y = workspace(d.y, m, n)
+		y = d.y
 	} else {
 		d.x = nil
+		y = tensor.New(m, n)
 	}
-	return tensor.AddRowVector(tensor.MatMul(x, d.W.Value), d.B.Value)
+	must(tensor.MatMulInto(y, x, d.W.Value))
+	b := d.B.Value.Data
+	for i := 0; i < m; i++ {
+		row := y.Data[i*n : (i+1)*n]
+		for j := range row {
+			row[j] = row[j] + b[j]
+		}
+	}
+	return y
 }
 
 // Backward implements Layer.
 func (d *Dense) Backward(dout *tensor.Tensor) *tensor.Tensor {
+	d.backwardParams(dout)
+	d.dx = workspace(d.dx, dout.Dim(0), d.In())
+	must(tensor.MatMulTransBInto(d.dx, dout, d.W.Value))
+	return d.dx
+}
+
+// backwardParams is Backward without the input gradient: it accumulates
+// the weight and bias gradients and releases the cached input. Each is
+// computed into a workspace and then added to the (zeroed) accumulator,
+// exactly as a fresh gradient tensor would be.
+func (d *Dense) backwardParams(dout *tensor.Tensor) {
 	if d.x == nil {
 		panic("nn: Dense.Backward without training Forward")
 	}
-	dw := tensor.MatMulTransA(d.x, dout)
+	d.dw = workspace(d.dw, d.In(), d.Out())
+	must(tensor.MatMulTransAInto(d.dw, d.x, dout))
 	if d.mask != nil {
-		for i := range dw.Data {
-			dw.Data[i] *= d.mask.Data[i]
+		for i := range d.dw.Data {
+			d.dw.Data[i] *= d.mask.Data[i]
 		}
 	}
-	d.W.Grad.AddInPlace(dw)
-	d.B.Grad.AddInPlace(tensor.SumRows(dout))
-	dx := tensor.MatMulTransB(dout, d.W.Value)
+	d.W.Grad.AddInPlace(d.dw)
+	d.db = workspace(d.db, 1, d.Out())
+	tensor.SumRowsInto(d.db, dout)
+	d.B.Grad.AddInPlace(d.db)
 	d.x = nil
-	return dx
 }
 
 // Params implements Layer.

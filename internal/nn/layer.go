@@ -35,6 +35,12 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 // Backward consumes the gradient of the loss with respect to the layer's
 // output and returns the gradient with respect to its input, accumulating
 // parameter gradients along the way.
+//
+// Ownership: in training mode the tensors a layer returns from Forward and
+// Backward belong to the layer, which may hand out the same buffers again —
+// its next training-mode call overwrites them. A caller that needs a result
+// beyond that call must copy it. Inference-mode Forward (train=false)
+// returns a tensor the caller owns.
 type Layer interface {
 	// Name identifies the layer for serialization and debugging.
 	Name() string
@@ -68,4 +74,41 @@ type ActivationSizer interface {
 // per-example input shape. Used to size downstream layers mechanically.
 type OutputShaper interface {
 	OutputShape(in []int) []int
+}
+
+// workspace returns buf when it is already m×n and a fresh zeroed m×n
+// tensor otherwise. Layers keep the result as a training buffer, so
+// steady-state training reuses it instead of allocating.
+func workspace(buf *tensor.Tensor, m, n int) *tensor.Tensor {
+	if buf != nil && buf.Rank() == 2 && buf.Dim(0) == m && buf.Dim(1) == n {
+		return buf
+	}
+	return tensor.New(m, n)
+}
+
+// workspaceLike is workspace for a buffer shaped like the tensor like.
+func workspaceLike(buf, like *tensor.Tensor) *tensor.Tensor {
+	if buf != nil && buf.SameShape(like) {
+		return buf
+	}
+	return tensor.New(like.Shape()...)
+}
+
+func sameDims(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// must panics with err, a typed *tensor.Error, when it is non-nil.
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
 }

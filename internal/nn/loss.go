@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 
 	"dlsys/internal/tensor"
@@ -17,9 +18,12 @@ type Loss interface {
 
 // SoftmaxCrossEntropy fuses a softmax over logits with the cross-entropy
 // loss against one-hot (or soft) target rows. The fused backward pass is the
-// numerically-stable (p - t)/batch.
+// numerically-stable (p - t)/batch. Like a layer in training mode, the loss
+// owns the tensors Probs and Backward return: the next Forward or Backward
+// overwrites them.
 type SoftmaxCrossEntropy struct {
 	probs, target *tensor.Tensor
+	grad          *tensor.Tensor // Backward's workspace
 }
 
 // NewSoftmaxCrossEntropy creates the fused softmax + cross-entropy loss.
@@ -27,7 +31,11 @@ func NewSoftmaxCrossEntropy() *SoftmaxCrossEntropy { return &SoftmaxCrossEntropy
 
 // Forward implements Loss. target rows must sum to 1 (one-hot or soft).
 func (l *SoftmaxCrossEntropy) Forward(logits, target *tensor.Tensor) float64 {
-	l.probs = Softmax(logits)
+	if logits.Rank() != 2 {
+		panic("nn: Softmax requires rank-2 logits")
+	}
+	l.probs = workspace(l.probs, logits.Dim(0), logits.Dim(1))
+	softmaxInto(l.probs, logits)
 	l.target = target
 	m := logits.Dim(0)
 	var loss float64
@@ -39,12 +47,18 @@ func (l *SoftmaxCrossEntropy) Forward(logits, target *tensor.Tensor) float64 {
 	return loss / float64(m)
 }
 
-// Backward implements Loss.
+// Backward implements Loss: (p − t), then scaled by 1/batch.
 func (l *SoftmaxCrossEntropy) Backward() *tensor.Tensor {
+	if !l.target.SameShape(l.probs) {
+		panic(&tensor.Error{Op: "SoftmaxCrossEntropy", Msg: fmt.Sprintf("target shape %v, logits shape %v", l.target.Shape(), l.probs.Shape())})
+	}
 	m := l.probs.Dim(0)
-	grad := tensor.Sub(l.probs, l.target)
-	grad.ScaleInPlace(1 / float64(m))
-	return grad
+	l.grad = workspaceLike(l.grad, l.probs)
+	for i, p := range l.probs.Data {
+		l.grad.Data[i] = p - l.target.Data[i]
+	}
+	l.grad.ScaleInPlace(1 / float64(m))
+	return l.grad
 }
 
 // Probs returns the softmax probabilities from the last Forward.

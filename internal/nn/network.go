@@ -102,6 +102,23 @@ func (n *Network) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	return dout
 }
 
+// backwardParams is Backward for callers that only need the parameter
+// gradients (Trainer.Step, ComputeGrad): a leading Dense layer skips its
+// input gradient, which nothing would read.
+func (n *Network) backwardParams(dout *tensor.Tensor) {
+	if len(n.Layers) == 0 {
+		return
+	}
+	for i := len(n.Layers) - 1; i > 0; i-- {
+		dout = n.Layers[i].Backward(dout)
+	}
+	if d, ok := n.Layers[0].(*Dense); ok {
+		d.backwardParams(dout)
+		return
+	}
+	n.Layers[0].Backward(dout)
+}
+
 // Params returns all trainable parameters in layer order.
 func (n *Network) Params() []*Param {
 	var ps []*Param
@@ -201,17 +218,22 @@ func (n *Network) ParamVectorInto(dst []float64) []float64 {
 	return dst
 }
 
+// VectorLengthError reports a flat parameter or gradient vector whose
+// length does not match the network's parameter count.
+type VectorLengthError struct {
+	Fn        string // "SetParamVector" or "SetGradVector"
+	Got, Want int
+}
+
+func (e *VectorLengthError) Error() string {
+	return fmt.Sprintf("nn: %s: vector length %d != model size %d", e.Fn, e.Got, e.Want)
+}
+
 // SetParamVector writes a flat vector (from ParamVector of an identically
-// shaped network) back into the parameters.
-func (n *Network) SetParamVector(v []float64) {
-	off := 0
-	for _, p := range n.Params() {
-		m := copy(p.Value.Data, v[off:off+p.Value.Size()])
-		off += m
-	}
-	if off != len(v) {
-		panic(fmt.Sprintf("nn: SetParamVector length %d != model size %d", len(v), off))
-	}
+// shaped network) back into the parameters. A vector of the wrong length
+// is rejected with a *VectorLengthError before anything is written.
+func (n *Network) SetParamVector(v []float64) error {
+	return n.setVector("SetParamVector", v, func(p *Param) []float64 { return p.Value.Data })
 }
 
 // GradVector flattens all parameter gradients into a single slice.
@@ -223,15 +245,28 @@ func (n *Network) GradVector() []float64 {
 	return out
 }
 
-// SetGradVector overwrites all parameter gradients from a flat vector.
-func (n *Network) SetGradVector(v []float64) {
+// SetGradVector overwrites all parameter gradients from a flat vector,
+// with SetParamVector's length check.
+func (n *Network) SetGradVector(v []float64) error {
+	return n.setVector("SetGradVector", v, func(p *Param) []float64 { return p.Grad.Data })
+}
+
+// setVector copies v across the slices dst selects from each parameter,
+// in layer order, after checking its length.
+func (n *Network) setVector(fn string, v []float64, dst func(*Param) []float64) error {
+	ps := n.Params()
+	want := 0
+	for _, p := range ps {
+		want += p.Value.Size()
+	}
+	if len(v) != want {
+		return &VectorLengthError{Fn: fn, Got: len(v), Want: want}
+	}
 	off := 0
-	for _, p := range n.Params() {
-		off += copy(p.Grad.Data, v[off:off+p.Grad.Size()])
+	for _, p := range ps {
+		off += copy(dst(p), v[off:])
 	}
-	if off != len(v) {
-		panic(fmt.Sprintf("nn: SetGradVector length %d != model size %d", len(v), off))
-	}
+	return nil
 }
 
 // StateDict captures all parameter values keyed by name (plus batch-norm

@@ -41,6 +41,12 @@ type Trainer struct {
 	Loss Loss
 	Opt  Optimizer
 	RNG  *rand.Rand
+
+	// params caches Net's parameter list (taken on first use, retaken if
+	// Net is replaced); bx and by are Fit's reused batch buffers.
+	params    []*Param
+	paramsNet *Network
+	bx, by    *tensor.Tensor
 }
 
 // NewTrainer wires a network, loss, and optimizer together. The RNG drives
@@ -76,8 +82,8 @@ func (t *Trainer) Fit(x, y *tensor.Tensor, cfg TrainConfig) TrainStats {
 			if end > n {
 				end = n
 			}
-			bx, by := gatherBatch(x, y, perm[start:end])
-			epochLoss += t.Step(bx, by)
+			t.bx, t.by = gatherBatchInto(t.bx, t.by, x, y, perm[start:end])
+			epochLoss += t.Step(t.bx, t.by)
 			batches++
 			stats.Steps++
 			stats.FLOPs += flopsPerStep * int64(end-start) / int64(bs)
@@ -95,12 +101,8 @@ func (t *Trainer) Fit(x, y *tensor.Tensor, cfg TrainConfig) TrainStats {
 // Step runs one forward/backward/update on a single batch and returns the
 // batch loss.
 func (t *Trainer) Step(bx, by *tensor.Tensor) float64 {
-	t.Net.ZeroGrad()
-	out := t.Net.Forward(bx, true)
-	loss := t.Loss.Forward(out, by)
-	t.Net.Backward(t.Loss.Backward())
-	t.Opt.Step(t.Net.Params())
-	t.Net.PostStep()
+	loss := t.ComputeGrad(bx, by)
+	t.ApplyUpdate()
 	return loss
 }
 
@@ -109,7 +111,7 @@ func (t *Trainer) Step(bx, by *tensor.Tensor) float64 {
 // (guard.Trainer) split Step into ComputeGrad + ApplyUpdate so they can
 // inspect — and possibly discard — gradients before they touch parameters.
 func (t *Trainer) ApplyUpdate() {
-	t.Opt.Step(t.Net.Params())
+	t.Opt.Step(t.paramList())
 	t.Net.PostStep()
 }
 
@@ -117,24 +119,38 @@ func (t *Trainer) ApplyUpdate() {
 // parameters, leaving gradients accumulated on the network. Distributed
 // training uses this to obtain per-worker gradients. Returns the loss.
 func (t *Trainer) ComputeGrad(bx, by *tensor.Tensor) float64 {
-	t.Net.ZeroGrad()
+	for _, p := range t.paramList() {
+		p.ZeroGrad()
+	}
 	out := t.Net.Forward(bx, true)
 	loss := t.Loss.Forward(out, by)
-	t.Net.Backward(t.Loss.Backward())
+	t.Net.backwardParams(t.Loss.Backward())
 	return loss
 }
 
-// gatherBatch copies the selected example indices of x and y into fresh
-// batch tensors. x may be rank 2 (tabular) or rank 4 (images).
-func gatherBatch(x, y *tensor.Tensor, idx []int) (*tensor.Tensor, *tensor.Tensor) {
+// paramList returns Net's parameters, rebuilding the list only when Net
+// has been replaced. A network's layers must not change once training
+// starts.
+func (t *Trainer) paramList() []*Param {
+	if t.paramsNet != t.Net {
+		t.params, t.paramsNet = t.Net.Params(), t.Net
+	}
+	return t.params
+}
+
+// gatherBatchInto copies the selected example indices of x and y into
+// batch tensors, reusing bx and by when they already have the batch's
+// shapes. x may be rank 2 (tabular) or rank 4 (images).
+func gatherBatchInto(bx, by, x, y *tensor.Tensor, idx []int) (*tensor.Tensor, *tensor.Tensor) {
 	exSize := x.Size() / x.Dim(0)
-	shape := append([]int{len(idx)}, x.Shape()[1:]...)
-	bx := tensor.New(shape...)
+	if bx == nil || bx.Dim(0) != len(idx) || !sameDims(bx.Shape()[1:], x.Shape()[1:]) {
+		bx = tensor.New(append([]int{len(idx)}, x.Shape()[1:]...)...)
+	}
 	for bi, i := range idx {
 		copy(bx.Data[bi*exSize:(bi+1)*exSize], x.Data[i*exSize:(i+1)*exSize])
 	}
 	ySize := y.Dim(1)
-	by := tensor.New(len(idx), ySize)
+	by = workspace(by, len(idx), ySize)
 	for bi, i := range idx {
 		copy(by.Data[bi*ySize:(bi+1)*ySize], y.Data[i*ySize:(i+1)*ySize])
 	}
@@ -144,7 +160,7 @@ func gatherBatch(x, y *tensor.Tensor, idx []int) (*tensor.Tensor, *tensor.Tensor
 // GatherBatch is the exported form of batch gathering for packages that
 // orchestrate their own training loops (distributed, ensembles).
 func GatherBatch(x, y *tensor.Tensor, idx []int) (*tensor.Tensor, *tensor.Tensor) {
-	return gatherBatch(x, y, idx)
+	return gatherBatchInto(nil, nil, x, y, idx)
 }
 
 // OneHot encodes integer labels as one-hot rows with the given class count.

@@ -110,7 +110,9 @@ func TestParamAndGradVectors(t *testing.T) {
 	for i := range v {
 		v[i] = float64(i)
 	}
-	net.SetParamVector(v)
+	if err := net.SetParamVector(v); err != nil {
+		t.Fatal(err)
+	}
 	v2 := net.ParamVector()
 	for i := range v2 {
 		if v2[i] != float64(i) {
@@ -121,7 +123,9 @@ func TestParamAndGradVectors(t *testing.T) {
 	for i := range g {
 		g[i] = -float64(i)
 	}
-	net.SetGradVector(g)
+	if err := net.SetGradVector(g); err != nil {
+		t.Fatal(err)
+	}
 	g2 := net.GradVector()
 	for i := range g2 {
 		if g2[i] != -float64(i) {

@@ -102,3 +102,33 @@ func TestTiledNotSlowerThanNaive(t *testing.T) {
 	}
 	t.Logf("1024^3: naive %v, tiled %v (%.2fx)", naive, tiledD, float64(naive)/float64(tiledD))
 }
+
+// BenchmarkMatMulSmall times the Into forms at the learned-Bloom
+// classifier's first layer, batch 64 — the shapes small-MLP training
+// spends its time on: forward X[64x3]·W[3x8], weight gradient Xᵀ·dY and
+// input gradient dY·Wᵀ. Each writes a reused output, so steady state
+// allocates nothing.
+func BenchmarkMatMulSmall(b *testing.B) {
+	rng := rand.New(rand.NewSource(64))
+	x := RandNormal(rng, 0, 1, 64, 3)
+	w := RandNormal(rng, 0, 1, 3, 8)
+	dy := RandNormal(rng, 0, 1, 64, 8)
+	for _, c := range []struct {
+		name       string
+		into       func(out, a, b *Tensor) error
+		out, a, op *Tensor
+	}{
+		{"fwd", MatMulInto, New(64, 8), x, w},
+		{"transA", MatMulTransAInto, New(3, 8), x, dy},
+		{"transB", MatMulTransBInto, New(64, 3), dy, w},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := c.into(c.out, c.a, c.op); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

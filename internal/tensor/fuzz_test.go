@@ -61,6 +61,24 @@ func FuzzMatMulShapes(f *testing.F) {
 		if !Equal(got, want, 0) {
 			t.Fatalf("MatMul != reference at %dx%dx%d", m, k, n)
 		}
+		// The Into forms, over a NaN-filled destination, agree too: the
+		// transposed ones take aᵀ (k×m) and bᵀ (n×k) as stored operands.
+		for name, into := range map[string]func(out *Tensor) error{
+			"MatMulInto":       func(out *Tensor) error { return MatMulInto(out, a, b) },
+			"MatMulTransAInto": func(out *Tensor) error { return MatMulTransAInto(out, Transpose(a), b) },
+			"MatMulTransBInto": func(out *Tensor) error { return MatMulTransBInto(out, a, Transpose(b)) },
+		} {
+			out := Full(math.NaN(), m, n)
+			if err := into(out); err != nil {
+				t.Fatalf("%s rejected conformable shapes at %dx%dx%d: %v", name, m, k, n, err)
+			}
+			if !Equal(out, want, 0) {
+				t.Fatalf("%s != reference at %dx%dx%d", name, m, k, n)
+			}
+			if err := into(New(m+1, n)); AsError(err) == nil {
+				t.Fatalf("%s accepted a wrong-shape destination at %dx%dx%d", name, m, k, n)
+			}
+		}
 		// Mismatched inner dimension must error, not panic.
 		if k != n {
 			if _, err := MatMulChecked(a, New(n, k)); err == nil {

@@ -3,7 +3,8 @@ package tensor
 import "sync"
 
 // This file is the cache-blocked GEMM engine behind MatMul, MatMulTransA,
-// MatMulTransB, and BatMul. The kernel hierarchy, from slowest and most
+// MatMulTransB (each implemented once, as its Into form writing a
+// caller-owned output; the allocating forms wrap it), and BatMul. The kernel hierarchy, from slowest and most
 // authoritative to fastest:
 //
 //	reference — matMulRows, the straightforward i-k-j triple loop. Every
@@ -16,7 +17,7 @@ import "sync"
 //	batched   — BatMul: the tiled/pooled kernel applied per batch slice of
 //	            contiguous stride-indexed rank-3 operands.
 //
-// Per-tier throughput: go test -bench 'GEMM|BatMul' ./internal/tensor
+// Per-tier throughput: go test -bench 'GEMM|BatMul|MatMulSmall' ./internal/tensor
 //
 // Determinism contract: every tier accumulates each output element
 // with a single accumulator over ascending k, so for finite inputs all
@@ -242,9 +243,10 @@ func gemmAuto(aData []float64, m, k, n int, bp, out []float64) {
 // so equivalence tests and benchmarks outside this package can pin the
 // faster tiers to it.
 func MatMulRef(a, b *Tensor) *Tensor {
-	out, err := matMulNew("MatMul", a, b)
+	m, n, err := matMulDims(a, b)
 	must(err)
-	matMulRows(a, b, out, 0, a.shape[0])
+	out := New(m, n)
+	matMulRows(a, b, out, 0, m)
 	return out
 }
 
@@ -252,10 +254,10 @@ func MatMulRef(a, b *Tensor) *Tensor {
 // pool) — the "tiled" tier of the kernel hierarchy. Callers normally want
 // MatMul, which picks the best tier automatically.
 func MatMulTiled(a, b *Tensor) *Tensor {
-	out, err := matMulNew("MatMul", a, b)
+	m, n, err := matMulDims(a, b)
 	must(err)
-	m, k := a.shape[0], a.shape[1]
-	n := b.shape[1]
+	out := New(m, n)
+	k := a.shape[1]
 	if k == 0 || n == 0 || m == 0 {
 		return out
 	}
@@ -264,17 +266,6 @@ func MatMulTiled(a, b *Tensor) *Tensor {
 	gemmPacked(a.Data, k, n, bp, out.Data, 0, m)
 	putScratch(bp)
 	return out
-}
-
-// matMulNew validates rank-2 conformability and allocates the output.
-func matMulNew(op string, a, b *Tensor) (*Tensor, error) {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		return nil, errf(op, "requires rank-2 operands, got %v and %v", a.shape, b.shape)
-	}
-	if a.shape[1] != b.shape[0] {
-		return nil, errf(op, "inner dimension mismatch %v · %v", a.shape, b.shape)
-	}
-	return New(a.shape[0], b.shape[1]), nil
 }
 
 // BatMul returns the batched matrix product of two rank-3 tensors:

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -155,6 +156,124 @@ func TestNonFiniteDeterministicPerTier(t *testing.T) {
 	for i := range x.Data {
 		if math.Float64bits(x.Data[i]) != math.Float64bits(y.Data[i]) {
 			t.Fatalf("tiled kernel nondeterministic at %d", i)
+		}
+	}
+}
+
+// intoOps pairs each allocating product with its Into form. Operands are
+// given in the product's own layout: TransA takes a as k×m, TransB takes b
+// as n×k.
+var intoOps = []struct {
+	name  string
+	alloc func(a, b *Tensor) *Tensor
+	into  func(out, a, b *Tensor) error
+	// dims gives the operand shapes (a rows, a cols, b rows, b cols) of
+	// an m×k by k×n product.
+	dims func(m, k, n int) (int, int, int, int)
+}{
+	{"MatMul", MatMul, MatMulInto,
+		func(m, k, n int) (int, int, int, int) { return m, k, k, n }},
+	{"MatMulTransA", MatMulTransA, MatMulTransAInto,
+		func(m, k, n int) (int, int, int, int) { return k, m, k, n }},
+	{"MatMulTransB", MatMulTransB, MatMulTransBInto,
+		func(m, k, n int) (int, int, int, int) { return m, k, n, k }},
+}
+
+// intoShapes adds, to the equivalence shapes, products past the parallel
+// threshold on both sides of usePacked: a packed pooled product and a
+// four-row product that runs the pooled reference kernel.
+var intoShapes = append(append([]struct{ m, k, n int }(nil), equivShapes...),
+	struct{ m, k, n int }{128, 96, 96},
+	struct{ m, k, n int }{4, 512, 520},
+)
+
+func sameBits(x, y *Tensor) bool {
+	if !x.SameShape(y) {
+		return false
+	}
+	for i := range x.Data {
+		if math.Float64bits(x.Data[i]) != math.Float64bits(y.Data[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// Each Into form writes exactly the bits its allocating form returns,
+// whatever the destination held — NaN or stale non-zero values — on every
+// kernel tier, and for non-finite operands too.
+func TestIntoMatchesAllocating(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	for _, op := range intoOps {
+		for _, s := range intoShapes {
+			for _, poison := range []bool{false, true} {
+				ar, ac, br, bc := op.dims(s.m, s.k, s.n)
+				a, b := randMat(rng, ar, ac), randMat(rng, br, bc)
+				for i := 0; i < len(a.Data); i += 3 {
+					a.Data[i] = 0 // exercise the zero-skip of the reference tiers
+				}
+				if poison {
+					a.Data[len(a.Data)/2] = math.Inf(1)
+					b.Data[len(b.Data)/3] = math.NaN()
+				}
+				want := op.alloc(a, b)
+				for _, dirty := range []float64{math.NaN(), 7.5} {
+					out := Full(dirty, want.Shape()...)
+					if err := op.into(out, a, b); err != nil {
+						t.Fatalf("%s %v: %v", op.name, s, err)
+					}
+					if !sameBits(out, want) {
+						t.Errorf("%s %v (poisoned %v, dest %v): Into != allocating form", op.name, s, poison, dirty)
+					}
+				}
+			}
+		}
+	}
+}
+
+// A destination of the wrong shape, or one sharing storage with an
+// operand, is refused with a typed *Error and left untouched.
+func TestIntoRejectsBadOutput(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	sq := randMat(rng, 6, 6)
+	other := randMat(rng, 6, 6)
+	for _, op := range intoOps {
+		// A 3×11 destination whose storage overlaps the last element of a
+		// 3×6·6×11 product's left operand.
+		ar, ac, br, bc := op.dims(3, 6, 11)
+		buf := make([]float64, 60)
+		overA := FromSlice(buf[:ar*ac], ar, ac)
+		overOut := FromSlice(buf[ar*ac-1:ar*ac-1+33], 3, 11)
+		cases := []struct {
+			name    string
+			out     *Tensor
+			a, b    *Tensor
+			aliased bool
+		}{
+			{"too many rows", New(7, 6), sq, other, false},
+			{"too few columns", New(6, 5), sq, other, false},
+			{"rank 3", New(1, 6, 6), sq, other, false},
+			{"out is a", sq, sq, other, true},
+			{"out is b", other, sq, other, true},
+			{"out overlaps a", overOut, overA, randMat(rng, br, bc), true},
+		}
+		for _, c := range cases {
+			before := c.out.Clone()
+			err := op.into(c.out, c.a, c.b)
+			var te *Error
+			if !errors.As(err, &te) {
+				t.Fatalf("%s %s: got %v, want a *tensor.Error", op.name, c.name, err)
+			}
+			if c.aliased != (te.Msg == "output aliases an operand") {
+				t.Errorf("%s %s: unexpected error %v", op.name, c.name, err)
+			}
+			if !sameBits(c.out, before) {
+				t.Errorf("%s %s: rejected call wrote its destination", op.name, c.name)
+			}
+		}
+		// Operand errors come first, as from the allocating form.
+		if err := op.into(New(2, 2), New(2, 3), New(4, 2)); err == nil {
+			t.Errorf("%s: non-conformable operands accepted", op.name)
 		}
 	}
 }

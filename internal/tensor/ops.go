@@ -1,6 +1,9 @@
 package tensor
 
-import "math"
+import (
+	"math"
+	"unsafe"
+)
 
 // Add returns t + u element-wise. Shapes must match.
 func Add(t, u *Tensor) *Tensor { return zipNew(t, u, func(a, b float64) float64 { return a + b }) }
@@ -82,9 +85,16 @@ func MatMul(a, b *Tensor) *Tensor { return mustT(MatMulChecked(a, b)) }
 // MatMulChecked is MatMul returning an error instead of panicking on a
 // shape mismatch.
 func MatMulChecked(a, b *Tensor) (*Tensor, error) {
-	out, err := matMulNew("MatMul", a, b)
-	if err != nil {
-		return nil, err
+	return newInto(MatMulInto, matMulDims, a, b)
+}
+
+// MatMulInto is MatMul writing into the caller-owned m×n tensor out,
+// whatever out held before. It returns a typed *Error when the operands do
+// not conform, when out has the wrong shape, or when out shares storage
+// with an operand.
+func MatMulInto(out, a, b *Tensor) error {
+	if err := checkInto("MatMul", matMulDims, out, a, b); err != nil {
+		return err
 	}
 	m, k := a.shape[0], a.shape[1]
 	n := b.shape[1]
@@ -93,21 +103,33 @@ func MatMulChecked(a, b *Tensor) (*Tensor, error) {
 		packB(b, bp)
 		gemmAuto(a.Data, m, k, n, bp, out.Data)
 		putScratch(bp)
-		return out, nil
+		return nil
 	}
+	out.Zero()
 	if int64(m)*int64(n)*int64(k) >= parallelFLOPThreshold && m >= 2 {
 		parallelRows(m, func(lo, hi int) {
 			matMulRows(a, b, out, lo, hi)
 		})
-		return out, nil
+		return nil
 	}
 	matMulRows(a, b, out, 0, m)
-	return out, nil
+	return nil
 }
 
-// matMulRows computes output rows [lo, hi) of a·b into out. It is the
-// reference kernel of the GEMM hierarchy (see gemm.go): i-k-j order, one
-// memory accumulator per output element, ascending k.
+// matMulDims validates a·b and returns the output shape.
+func matMulDims(a, b *Tensor) (m, n int, err error) {
+	if a.Rank() != 2 || b.Rank() != 2 {
+		return 0, 0, errf("MatMul", "requires rank-2 operands, got %v and %v", a.shape, b.shape)
+	}
+	if a.shape[1] != b.shape[0] {
+		return 0, 0, errf("MatMul", "inner dimension mismatch %v · %v", a.shape, b.shape)
+	}
+	return a.shape[0], b.shape[1], nil
+}
+
+// matMulRows computes output rows [lo, hi) of a·b into out, which must be
+// zeroed. It is the reference kernel of the GEMM hierarchy (see gemm.go):
+// i-k-j order, one memory accumulator per output element, ascending k.
 func matMulRows(a, b, out *Tensor, lo, hi int) {
 	k, n := a.shape[1], b.shape[1]
 	for i := lo; i < hi; i++ {
@@ -119,8 +141,8 @@ func matMulRows(a, b, out *Tensor, lo, hi int) {
 				continue
 			}
 			brow := b.Data[p*n : (p+1)*n]
-			for j := 0; j < n; j++ {
-				orow[j] += av * brow[j]
+			for j, bv := range brow {
+				orow[j] += av * bv
 			}
 		}
 	}
@@ -136,35 +158,50 @@ func MatMulTransB(a, b *Tensor) *Tensor { return mustT(MatMulTransBChecked(a, b)
 // MatMulTransBChecked is MatMulTransB returning an error instead of
 // panicking on a shape mismatch.
 func MatMulTransBChecked(a, b *Tensor) (*Tensor, error) {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		return nil, errf("MatMulTransB", "requires rank-2 operands, got %v and %v", a.shape, b.shape)
+	return newInto(MatMulTransBInto, matMulTransBDims, a, b)
+}
+
+// MatMulTransBInto is MatMulTransB writing into the caller-owned m×n
+// tensor out, with MatMulInto's error contract.
+func MatMulTransBInto(out, a, b *Tensor) error {
+	if err := checkInto("MatMulTransB", matMulTransBDims, out, a, b); err != nil {
+		return err
 	}
 	m, k := a.shape[0], a.shape[1]
-	n, k2 := b.shape[0], b.shape[1]
-	if k != k2 {
-		return nil, errf("MatMulTransB", "inner dimension mismatch %v · %vᵀ", a.shape, b.shape)
-	}
-	out := New(m, n)
+	n := b.shape[0]
 	if usePacked(m, k, n) {
 		bp := getScratch(k * n)
 		packBTrans(b, bp)
 		gemmAuto(a.Data, m, k, n, bp, out.Data)
 		putScratch(bp)
-		return out, nil
+		return nil
 	}
+	// The small path multiplies through (no zero skip) and stores each
+	// dot product, so out needs no clearing.
 	for i := 0; i < m; i++ {
 		arow := a.Data[i*k : (i+1)*k]
 		orow := out.Data[i*n : (i+1)*n]
 		for j := 0; j < n; j++ {
 			brow := b.Data[j*k : (j+1)*k]
 			var s float64
-			for p := 0; p < k; p++ {
-				s += arow[p] * brow[p]
+			for p, av := range arow {
+				s += av * brow[p]
 			}
 			orow[j] = s
 		}
 	}
-	return out, nil
+	return nil
+}
+
+// matMulTransBDims validates a·bᵀ and returns the output shape.
+func matMulTransBDims(a, b *Tensor) (m, n int, err error) {
+	if a.Rank() != 2 || b.Rank() != 2 {
+		return 0, 0, errf("MatMulTransB", "requires rank-2 operands, got %v and %v", a.shape, b.shape)
+	}
+	if a.shape[1] != b.shape[1] {
+		return 0, 0, errf("MatMulTransB", "inner dimension mismatch %v · %vᵀ", a.shape, b.shape)
+	}
+	return a.shape[0], b.shape[0], nil
 }
 
 // MatMulTransA returns aᵀ · b for rank-2 tensors: (k×m)ᵀ·(k×n) → m×n.
@@ -176,18 +213,25 @@ func MatMulTransA(a, b *Tensor) *Tensor { return mustT(MatMulTransAChecked(a, b)
 // MatMulTransAChecked is MatMulTransA returning an error instead of
 // panicking on a shape mismatch.
 func MatMulTransAChecked(a, b *Tensor) (*Tensor, error) {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		return nil, errf("MatMulTransA", "requires rank-2 operands, got %v and %v", a.shape, b.shape)
+	return newInto(MatMulTransAInto, matMulTransADims, a, b)
+}
+
+// MatMulTransAInto is MatMulTransA writing into the caller-owned m×n
+// tensor out, with MatMulInto's error contract.
+func MatMulTransAInto(out, a, b *Tensor) error {
+	if err := checkInto("MatMulTransA", matMulTransADims, out, a, b); err != nil {
+		return err
 	}
 	k, m := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		return nil, errf("MatMulTransA", "inner dimension mismatch %vᵀ · %v", a.shape, b.shape)
-	}
+	n := b.shape[1]
 	if usePacked(m, k, n) {
-		return MatMulChecked(Transpose(a), b)
+		at := getScratch(m * k)
+		transposeInto(at, a)
+		err := MatMulInto(out, &Tensor{shape: []int{m, k}, Data: at}, b)
+		putScratch(at)
+		return err
 	}
-	out := New(m, n)
+	out.Zero()
 	for p := 0; p < k; p++ {
 		arow := a.Data[p*m : (p+1)*m]
 		brow := b.Data[p*n : (p+1)*n]
@@ -197,12 +241,65 @@ func MatMulTransAChecked(a, b *Tensor) (*Tensor, error) {
 				continue
 			}
 			orow := out.Data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				orow[j] += av * brow[j]
+			for j, bv := range brow {
+				orow[j] += av * bv
 			}
 		}
 	}
+	return nil
+}
+
+// matMulTransADims validates aᵀ·b and returns the output shape.
+func matMulTransADims(a, b *Tensor) (m, n int, err error) {
+	if a.Rank() != 2 || b.Rank() != 2 {
+		return 0, 0, errf("MatMulTransA", "requires rank-2 operands, got %v and %v", a.shape, b.shape)
+	}
+	if a.shape[0] != b.shape[0] {
+		return 0, 0, errf("MatMulTransA", "inner dimension mismatch %vᵀ · %v", a.shape, b.shape)
+	}
+	return a.shape[1], b.shape[1], nil
+}
+
+// newInto is the allocating form of a product: it validates the operands,
+// allocates the output and fills it with into.
+func newInto(into func(out, a, b *Tensor) error, dims func(a, b *Tensor) (int, int, error), a, b *Tensor) (*Tensor, error) {
+	m, n, err := dims(a, b)
+	if err != nil {
+		return nil, err
+	}
+	out := New(m, n)
+	if err := into(out, a, b); err != nil {
+		return nil, err
+	}
 	return out, nil
+}
+
+// checkInto validates an Into call: conformable operands, an out of the
+// product's shape, and no storage shared between out and an operand (the
+// kernels read operands while writing out).
+func checkInto(op string, dims func(a, b *Tensor) (int, int, error), out, a, b *Tensor) error {
+	m, n, err := dims(a, b)
+	if err != nil {
+		return err
+	}
+	if out.Rank() != 2 || out.shape[0] != m || out.shape[1] != n {
+		return errf(op, "output shape %v, want [%d %d]", out.shape, m, n)
+	}
+	if overlaps(out.Data, a.Data) || overlaps(out.Data, b.Data) {
+		return errf(op, "output aliases an operand")
+	}
+	return nil
+}
+
+// overlaps reports whether two slices share any element of storage.
+func overlaps(x, y []float64) bool {
+	if len(x) == 0 || len(y) == 0 {
+		return false
+	}
+	const size = unsafe.Sizeof(float64(0))
+	x0 := uintptr(unsafe.Pointer(unsafe.SliceData(x)))
+	y0 := uintptr(unsafe.Pointer(unsafe.SliceData(y)))
+	return x0 < y0+uintptr(len(y))*size && y0 < x0+uintptr(len(x))*size
 }
 
 // Transpose returns the transpose of a rank-2 tensor.
@@ -210,14 +307,19 @@ func Transpose(t *Tensor) *Tensor {
 	if t.Rank() != 2 {
 		panic(errf("Transpose", "requires rank 2, got %v", t.shape))
 	}
+	out := New(t.shape[1], t.shape[0])
+	transposeInto(out.Data, t)
+	return out
+}
+
+// transposeInto writes the transpose of the rank-2 tensor t into dst.
+func transposeInto(dst []float64, t *Tensor) {
 	m, n := t.shape[0], t.shape[1]
-	out := New(n, m)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
-			out.Data[j*m+i] = t.Data[i*n+j]
+			dst[j*m+i] = t.Data[i*n+j]
 		}
 	}
-	return out
 }
 
 // Sum returns the sum of all elements.
@@ -304,15 +406,24 @@ func SumRows(t *Tensor) *Tensor {
 	if t.Rank() != 2 {
 		panic(errf("SumRows", "requires rank 2, got %v", t.shape))
 	}
+	out := New(1, t.shape[1])
+	SumRowsInto(out, t)
+	return out
+}
+
+// SumRowsInto is SumRows overwriting the caller-owned 1×n tensor out.
+func SumRowsInto(out, t *Tensor) {
+	if t.Rank() != 2 || out.Rank() != 2 || out.shape[0] != 1 || out.shape[1] != t.shape[1] {
+		panic(errf("SumRows", "shapes %v, %v", out.shape, t.shape))
+	}
 	m, n := t.shape[0], t.shape[1]
-	out := New(1, n)
+	out.Zero()
 	for i := 0; i < m; i++ {
 		row := t.Data[i*n : (i+1)*n]
 		for j, v := range row {
 			out.Data[j] += v
 		}
 	}
-	return out
 }
 
 // AddRowVector adds a 1×n row vector to every row of an m×n tensor,

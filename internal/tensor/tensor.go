@@ -195,7 +195,7 @@ func (t *Tensor) Fill(v float64) {
 }
 
 // Zero sets every element of t to 0.
-func (t *Tensor) Zero() { t.Fill(0) }
+func (t *Tensor) Zero() { clear(t.Data) }
 
 // String renders small tensors fully and large tensors as a summary.
 func (t *Tensor) String() string {
