@@ -186,7 +186,10 @@ func BenchmarkHuffmanEncode(b *testing.B) {
 	for i := range codes {
 		codes[i] = uint16(rng.ExpFloat64() * 4)
 	}
-	table := quant.BuildHuffman(codes)
+	table, err := quant.BuildHuffman(codes)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		table.Encode(codes)

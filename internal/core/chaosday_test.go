@@ -1,6 +1,11 @@
 package core
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+
+	"dlsys/internal/obs"
+)
 
 // TestX10ProductionDayClaims pins the X10 acceptance criteria: the
 // composed production day — guarded Byzantine-robust training, the
@@ -49,6 +54,39 @@ func TestX10ProductionDayClaims(t *testing.T) {
 		}
 		if row[col["ok"]] != "yes" {
 			t.Errorf("%s failed: %s", row[col["check"]], row[col["detail"]])
+		}
+	}
+}
+
+// TestX10ReplaysAcrossGOMAXPROCS extends the replay contract to the
+// scheduler: the composed day runs its training rounds as goroutine
+// fan-outs inside kernel handlers, so one scenario replayed at GOMAXPROCS
+// 1, 2 and 8 must leave every fingerprint identical — metrics, trace,
+// serving ledger, quarantine ledger, kernel log, index ledger and fleet
+// ledger.
+func TestX10ReplaysAcrossGOMAXPROCS(t *testing.T) {
+	if testing.Short() {
+		t.Skip("X10 composed day skipped in -short mode")
+	}
+	sc, err := newX10Scenario(Quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var ref [7]uint64
+	for i, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		d, err := sc.run(obs.NewHandle())
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		got := [7]uint64{d.regFP, d.traceFP, d.serveFP, d.repFP, d.kernelFP, d.dbFP, d.fleetFP}
+		if i == 0 {
+			ref = got
+			continue
+		}
+		if got != ref {
+			t.Errorf("GOMAXPROCS=%d fingerprints (registry, trace, serve, quarantine, kernel, index, fleet) %x, GOMAXPROCS=1 %x", procs, got, ref)
 		}
 	}
 }

@@ -83,12 +83,13 @@ type Config struct {
 	// rejoin by restoring the newest snapshot whose CRC verifies.
 	SnapshotPeriod int
 
-	// Topology selects the collective communication pattern for averaging
-	// rounds. The zero value keeps the historical parameter-server star
-	// bit-for-bit; the explicit Topo* collectives price per-hop costs with
-	// device.TransferTime on the simulated clock, heal around injected
-	// link faults, and degrade to the all-to-all fallback when healing
-	// would break the contribution quorum.
+	// Topology selects how averaging rounds move bytes; every pattern runs
+	// the same round engine. The zero value is the parameter-server star
+	// (per-worker uploads with retries, then a server broadcast); the
+	// explicit Topo* collectives run one reduce-broadcast priced per hop
+	// with device.TransferTime on the simulated clock, heal around
+	// injected link faults, and degrade to the all-to-all fallback when
+	// healing would break the contribution quorum.
 	Topology Topology
 	// GroupSize is the intra-group ring width for TopoHier (default
 	// ceil(sqrt(members)), minimum 2). Ignored by the other topologies.
@@ -233,13 +234,11 @@ func (w *worker) nextBatch(x, y *tensor.Tensor, step, bs int) (*tensor.Tensor, *
 	return nn.GatherBatch(x, y, w.shard[start:end])
 }
 
-func activeLoss(w *worker) float64 { return w.lastLoss }
-
 // liveWorkers applies crash and rejoin transitions for the round and
 // returns the up workers in id order.
-func liveWorkers(workers []*worker, inj *fault.Injector, store *checkpoint.Store, round int, stats *Stats, ins *distObs) []*worker {
+func (j *Job) liveWorkers(round int) []*worker {
 	var active []*worker
-	for _, wk := range workers {
+	for _, wk := range j.workers {
 		if wk.absent {
 			continue // elastically departed (or not yet joined)
 		}
@@ -249,23 +248,21 @@ func liveWorkers(workers []*worker, inj *fault.Injector, store *checkpoint.Store
 		if wk.downTo > 0 {
 			// Rejoin: restore the newest verifiable snapshot. A corrupted
 			// newer snapshot is detected by its CRC and skipped.
-			if _, skipped, err := store.Restore(wk.net); err == nil {
-				stats.Restores++
-				stats.Corruptions += skipped
-				ins.restores.Inc()
-				ins.corrupts.Add(int64(skipped))
+			if _, skipped, err := j.store.Restore(wk.net); err == nil {
+				j.stats.Restores++
+				j.stats.Corruptions += skipped
+				j.ins.restores.Inc()
+				j.ins.corrupts.Add(int64(skipped))
 			}
-			stats.Rejoins++
-			ins.rejoins.Inc()
+			j.stats.Rejoins++
+			j.ins.rejoins.Inc()
 			wk.downTo = 0
-			for i := range wk.residual {
-				wk.residual[i] = 0 // crash wiped worker memory
-			}
+			clear(wk.residual) // crash wiped worker memory
 		}
-		if inj.Crashes(wk.id, round) {
-			stats.Crashes++
-			ins.crashes.Inc()
-			wk.downTo = round + inj.RestartDelay()
+		if j.inj.Crashes(wk.id, round) {
+			j.stats.Crashes++
+			j.ins.crashes.Inc()
+			wk.downTo = round + j.inj.RestartDelay()
 			continue
 		}
 		active = append(active, wk)
@@ -273,7 +270,7 @@ func liveWorkers(workers []*worker, inj *fault.Injector, store *checkpoint.Store
 	return active
 }
 
-// gradResult is one worker's contribution to a synchronous round.
+// gradResult is one worker's contribution to a round.
 type gradResult struct {
 	wk        *worker
 	loss      float64
@@ -286,179 +283,175 @@ type gradResult struct {
 }
 
 // computeGrads runs every active worker's forward/backward in parallel
-// goroutines. Determinism holds because workers share no mutable state and
-// results are consumed in worker-id order.
-func computeGrads(active []*worker, x, y *tensor.Tensor, cfg Config, prof device.Profile, inj *fault.Injector, step, round int, flopsPerExample int64, localStep bool) []gradResult {
+// goroutines: a gradient for the synchronous regime, a local optimizer step
+// for Local SGD. Determinism holds because workers share no mutable state
+// and results are consumed in worker-id order.
+func (j *Job) computeGrads(active []*worker, step, round int, localStep bool) []gradResult {
 	results := make([]gradResult, len(active))
 	var wg sync.WaitGroup
 	for i, wk := range active {
 		wg.Add(1)
 		go func(i int, wk *worker) {
 			defer wg.Done()
-			bx, by := wk.nextBatch(x, y, step, cfg.BatchSize)
+			bx, by := wk.nextBatch(j.x, j.y, step, j.cfg.BatchSize)
 			r := gradResult{wk: wk}
 			// Numerical fault injection: the draws are keyed by
 			// (worker, round), so concurrent execution order cannot
 			// change which batches get poisoned.
-			if inj.CorruptsBatch(wk.id, round) {
-				inj.CorruptBatchValues(bx.Data, wk.id, round)
+			if j.inj.CorruptsBatch(wk.id, round) {
+				j.inj.CorruptBatchValues(bx.Data, wk.id, round)
 				r.injected++
 			}
-			if inj.LabelNoise(wk.id, round) {
-				inj.ShuffleLabels(by.Data, by.Dim(0), by.Dim(1), wk.id, round)
+			if j.inj.LabelNoise(wk.id, round) {
+				j.inj.ShuffleLabels(by.Data, by.Dim(0), by.Dim(1), wk.id, round)
 				r.injected++
 			}
 			// Colluding workers poison their batch labels with a shared
 			// rotation before computing, so the coalition's gradients all
 			// push the same wrong way.
-			if inj.ColludesBatch(wk.id, round) {
-				inj.ColludeShuffleLabels(by.Data, by.Dim(0), by.Dim(1), round)
+			if j.inj.ColludesBatch(wk.id, round) {
+				j.inj.ColludeShuffleLabels(by.Data, by.Dim(0), by.Dim(1), round)
 			}
-			var loss float64
 			if localStep {
-				loss = wk.trainer.Step(bx, by)
+				r.loss = wk.trainer.Step(bx, by)
 			} else {
-				loss = wk.trainer.ComputeGrad(bx, by)
-			}
-			wk.lastLoss = loss
-			r.loss = loss
-			if !localStep {
+				r.loss = wk.trainer.ComputeGrad(bx, by)
 				r.grad = wk.net.GradVector()
 				// Byzantine corruption happens on the upload, after the
 				// honest local computation; the result stays finite.
-				r.byzantine = inj.CorruptGradient(r.grad, wk.id, round)
-				r.poisoned = math.IsNaN(loss) || math.IsInf(loss, 0) || !tensor.AllFinite(r.grad)
+				r.byzantine = j.inj.CorruptGradient(r.grad, wk.id, round)
+				r.poisoned = math.IsNaN(r.loss) || math.IsInf(r.loss, 0) || !tensor.AllFinite(r.grad)
 			}
-			r.seconds = prof.ComputeTime(flopsPerExample*int64(bx.Dim(0)), 0.5) * inj.StraggleFactor(wk.id, round)
+			wk.lastLoss = r.loss
+			r.seconds = j.prof.ComputeTime(j.flopsPerExample*int64(bx.Dim(0)), 0.5) * j.inj.StraggleFactor(wk.id, round)
 			results[i] = r
 		}(i, wk)
 	}
 	wg.Wait()
+	j.ins.observeSteps(results)
 	return results
 }
 
-// syncRound executes one synchronous gradient-exchange round with fault
-// handling. Returns worker-ordered first participant's loss and whether the
-// round produced an update.
-func syncRound(active []*worker, x, y *tensor.Tensor, cfg Config, net *transport, clk *jobClock, step, round, modelSize int, flopsPerExample int64, agg robust.Aggregator, chargeAgg bool, rep *robust.Reputation, stats *Stats, span *obs.Span) (float64, bool) {
-	roundStart := clk.now()
-	rep.BeginRound(round)
-	results := computeGrads(active, x, y, cfg, net.prof, net.inj, step, round, flopsPerExample, false)
-	net.obs.observeSteps(results)
-	included := screenRound(results, cfg, net, flopsPerExample, rep, stats)
+// tally folds one round's compute results into the per-round counters
+// both regimes keep (injected numerical faults, Byzantine uploads, and
+// whether any worker straggled past 1.5x the nominal step time) and returns
+// the slowest worker's compute seconds.
+func (j *Job) tally(results []gradResult) float64 {
+	nominal := j.prof.ComputeTime(j.flopsPerExample*int64(j.cfg.BatchSize), 0.5)
+	var slowest float64
+	straggled := false
+	for _, r := range results {
+		j.stats.NumericalFaults += r.injected
+		j.ins.numFaults.Add(int64(r.injected))
+		if r.byzantine {
+			j.stats.ByzantineAttacks++
+			j.ins.byzAttacks.Inc()
+		}
+		if r.seconds > slowest {
+			slowest = r.seconds
+		}
+		if r.seconds > nominal*1.5 {
+			straggled = true
+		}
+	}
+	if straggled {
+		j.stats.StragglerRounds++
+		j.ins.stragglerRounds.Inc()
+	}
+	return slowest
+}
 
-	// Each included worker compresses and uploads its gradient; lost or
-	// corrupted transmissions are retried with exponential backoff until
-	// the per-round retry budget runs out.
-	avgGrad := make([]float64, modelSize)
-	grads := make([][]float64, 0, len(included))
-	ids := make([]int, 0, len(included))
-	var computeS, uplinkS float64
-	for _, r := range included {
+// syncRound executes one synchronous gradient-exchange round: compute,
+// screen, compress, upload, aggregate, download, update. The communication
+// pattern (the parameter-server star or a collective) only changes how the
+// bytes move, inside upload and download. A worker whose gradient did not
+// arrive (a timed-out star upload, or a member the collective excluded)
+// parks it in its error-feedback residual but still receives the update,
+// keeping every active replica in lockstep. Returns the first active
+// worker's loss and whether the round produced an update.
+func (j *Job) syncRound(active []*worker, step, round int, span *obs.Span) (float64, bool) {
+	roundStart := j.clk.now()
+	j.rep.BeginRound(round)
+	results := j.computeGrads(active, step, round, false)
+	included := j.screenRound(results)
+
+	// Each admitted worker compresses its gradient in place before it
+	// moves; a collective carries one payload sized by the largest.
+	var computeS float64
+	ids := make([]int, len(included))
+	sizes := make([]int64, len(included))
+	for i, r := range included {
 		if r.seconds > computeS {
 			computeS = r.seconds
 		}
 		residual := r.wk.residual
-		if cfg.NoErrorFeedback {
+		if j.cfg.NoErrorFeedback {
 			residual = nil
 		}
-		sent := compressGradient(r.grad, residual, cfg.TopK, cfg.QuantBits)
-		ok, elapsed := net.send(r.wk.id, 2*round, sent, stats)
-		if elapsed > uplinkS {
-			uplinkS = elapsed
-		}
-		if !ok {
-			stats.Timeouts++
-			net.obs.timeouts.Inc()
-			if residual != nil {
-				// The compressed gradient never arrived; park it locally.
-				for i, g := range r.grad {
-					residual[i] += g
-				}
-			}
+		ids[i] = r.wk.id
+		sizes[i] = compressGradient(r.grad, residual, j.cfg.TopK, j.cfg.QuantBits)
+	}
+	arrived, upS := j.upload(active, ids, sizes, round)
+	j.clk.advance(computeS + upS)
+	span.Child("compute", roundStart).End(roundStart + computeS)
+
+	grads := make([][]float64, 0, len(included))
+	ids = ids[:0]
+	for i, r := range included {
+		if !arrived[i] {
+			j.park(r)
 			continue
 		}
 		grads = append(grads, r.grad)
 		ids = append(ids, r.wk.id)
 	}
-	clk.advance(computeS + uplinkS)
-	computeSpan := span.Child("compute", roundStart)
-	computeSpan.End(roundStart + computeS)
 	if len(grads) == 0 {
-		return 0, false // every upload timed out: no update this round
+		return 0, false // nothing reached the aggregate: no update this round
 	}
-	// Robust aggregation of the delivered gradients (worker-id order). An
-	// explicitly configured aggregator is charged its FLOPs cost on the
-	// simulated clock — robustness costs time, and X9 measures it.
-	if chargeAgg {
-		aggS := net.prof.ComputeTime(agg.FLOPs(len(grads), modelSize), 0.5)
-		aggSpan := span.Child("aggregate", roundStart+computeS+uplinkS)
-		aggSpan.End(roundStart + computeS + uplinkS + aggS)
-		clk.advance(aggS)
-		stats.AggSeconds += aggS
-	}
-	agg.Aggregate(avgGrad, grads)
-	observeDistances(rep, ids, grads, avgGrad)
-
-	// Broadcast of the averaged (already compressed) update. The server
-	// persists until every live worker has the round's update.
-	bb := broadcastBytes(avgGrad, cfg, len(active))
-	stats.BytesSent += bb
-	net.obs.bytesSent.Add(bb)
-	var downlinkS float64
-	for _, wk := range active {
-		_, elapsed := net.broadcast(wk.id, 2*round+1, perWorkerBroadcastBytes(avgGrad, cfg), stats)
-		if elapsed > downlinkS {
-			downlinkS = elapsed
-		}
-	}
-	clk.advance(downlinkS)
-	commSpan := span.Child("comm", roundStart+computeS)
-	commSpan.End(roundStart + computeS + uplinkS + downlinkS)
+	commStart := roundStart + computeS
+	avgGrad := j.aggregate(span, commStart+upS, grads, ids)
+	downS := j.download(active, perWorkerBroadcastBytes(avgGrad, j.cfg), round)
+	j.clk.advance(downS)
+	span.Child("comm", commStart).End(commStart + upS + downS)
 	for _, wk := range active {
 		mustSetVector(wk.net.SetGradVector(avgGrad))
 		wk.trainer.Opt.Step(wk.net.Params())
 		wk.net.PostStep()
 	}
-	stats.AveragingRound++
-	net.obs.rounds.Inc()
+	j.stats.AveragingRound++
+	j.ins.rounds.Inc()
 	return results[0].loss, true
 }
 
-// screenRound applies the per-round contribution screens in their
-// historical order — straggler and numerical-fault tallies, the numerical
-// guard, reputation quarantine, then drop-slowest-k — and returns the
-// contributions admitted to aggregation. Shared by the parameter-server
-// star and the collective-topology sync paths.
-func screenRound(results []gradResult, cfg Config, net *transport, flopsPerExample int64, rep *robust.Reputation, stats *Stats) []gradResult {
-	straggled := false
-	for _, r := range results {
-		stats.NumericalFaults += r.injected
-		net.obs.numFaults.Add(int64(r.injected))
-		if r.byzantine {
-			stats.ByzantineAttacks++
-			net.obs.byzAttacks.Inc()
-		}
-		if r.seconds > net.prof.ComputeTime(flopsPerExample*int64(cfg.BatchSize), 0.5)*1.5 {
-			straggled = true
-		}
+// park defers a contribution that will not reach this round's aggregate
+// into the worker's error-feedback residual, so its work is delayed rather
+// than lost. A no-op when error feedback is disabled.
+func (j *Job) park(r gradResult) {
+	if j.cfg.NoErrorFeedback {
+		return
 	}
-	if straggled {
-		stats.StragglerRounds++
-		net.obs.stragglerRounds.Inc()
+	for i, g := range r.grad {
+		r.wk.residual[i] += g
 	}
+}
+
+// screenRound applies the per-round contribution screens in order (the
+// round tally, the numerical guard, reputation quarantine, then
+// drop-slowest-k) and returns the contributions admitted to aggregation.
+func (j *Job) screenRound(results []gradResult) []gradResult {
+	j.tally(results)
 
 	// Numerical guard: a poisoned contribution (non-finite loss or
 	// gradient) is excluded before aggregation — one NaN in the average
 	// poisons every replica. The poisoned gradient is NOT folded into the
 	// residual: deferring it would just re-inject the poison later.
 	screened := results
-	if cfg.Guard != nil && cfg.Guard.Mode == guard.Enforce {
+	if j.cfg.Guard != nil && j.cfg.Guard.Mode == guard.Enforce {
 		kept := make([]gradResult, 0, len(results))
 		for _, r := range results {
 			if r.poisoned {
-				stats.GuardSkipped++
-				net.obs.guardSkipped.Inc()
+				j.stats.GuardSkipped++
+				j.ins.guardSkipped.Inc()
 				continue
 			}
 			kept = append(kept, r)
@@ -470,12 +463,12 @@ func screenRound(results []gradResult, cfg Config, net *transport, flopsPerExamp
 	// contribute this round. Their gradients are NOT folded into the
 	// residual — a quarantined gradient is suspect by definition, and
 	// deferring it would re-inject the poison on readmission.
-	if rep != nil {
+	if j.rep != nil {
 		kept := make([]gradResult, 0, len(screened))
 		for _, r := range screened {
-			if rep.Quarantined(r.wk.id) {
-				stats.QuarantineExcluded++
-				net.obs.quarExcluded.Inc()
+			if j.rep.Quarantined(r.wk.id) {
+				j.stats.QuarantineExcluded++
+				j.ins.quarExcluded.Inc()
 				continue
 			}
 			kept = append(kept, r)
@@ -484,125 +477,34 @@ func screenRound(results []gradResult, cfg Config, net *transport, flopsPerExamp
 	}
 
 	// Straggler mitigation: the aggregation round closes after the fastest
-	// len(screened)-k workers report — the k slowest are cut out.
-	included := screened
-	if k := cfg.DropSlowestK; k > 0 && len(screened) > k {
-		order := make([]int, len(screened))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool {
-			ra, rb := screened[order[a]], screened[order[b]]
-			if ra.seconds != rb.seconds {
-				return ra.seconds < rb.seconds
-			}
-			return ra.wk.id < rb.wk.id
-		})
-		included = make([]gradResult, 0, len(screened)-k)
-		for _, oi := range order[:len(screened)-k] {
-			included = append(included, screened[oi])
-		}
-		sort.Slice(included, func(a, b int) bool { return included[a].wk.id < included[b].wk.id })
-		for _, oi := range order[len(screened)-k:] {
-			r := screened[oi]
-			stats.ExcludedSlow++
-			net.obs.excludedSlow.Inc()
-			if !cfg.NoErrorFeedback {
-				// Defer the dropped worker's gradient instead of losing it.
-				for i, g := range r.grad {
-					r.wk.residual[i] += g
-				}
-			}
-		}
+	// len(screened)-k workers report — the k slowest are cut out, their
+	// gradients deferred.
+	k := j.cfg.DropSlowestK
+	if k <= 0 || len(screened) <= k {
+		return screened
 	}
-
+	order := make([]int, len(screened))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		ra, rb := screened[order[a]], screened[order[b]]
+		if ra.seconds != rb.seconds {
+			return ra.seconds < rb.seconds
+		}
+		return ra.wk.id < rb.wk.id
+	})
+	included := make([]gradResult, 0, len(screened)-k)
+	for _, oi := range order[:len(screened)-k] {
+		included = append(included, screened[oi])
+	}
+	sort.Slice(included, func(a, b int) bool { return included[a].wk.id < included[b].wk.id })
+	for _, oi := range order[len(screened)-k:] {
+		j.stats.ExcludedSlow++
+		j.ins.excludedSlow.Inc()
+		j.park(screened[oi])
+	}
 	return included
-}
-
-// syncRoundCollective is syncRound over an explicit collective topology:
-// instead of the parameter-server star, the admitted gradients are
-// reduce-broadcast across cfg.Topology, with per-hop costs priced by
-// device.TransferTime and link faults retried, healed around, or degraded
-// to the all-to-all fallback by the transport. A member the exchange
-// excluded (dead links, partition) folds its gradient into the
-// error-feedback residual — its work is deferred like a timed-out star
-// upload — but still receives the aggregate: the collective's broadcast
-// sweep keeps every active replica in lockstep.
-func syncRoundCollective(active []*worker, x, y *tensor.Tensor, cfg Config, net *transport, clk *jobClock, step, round, modelSize int, flopsPerExample int64, agg robust.Aggregator, chargeAgg bool, rep *robust.Reputation, stats *Stats, span *obs.Span) (float64, bool) {
-	roundStart := clk.now()
-	rep.BeginRound(round)
-	results := computeGrads(active, x, y, cfg, net.prof, net.inj, step, round, flopsPerExample, false)
-	net.obs.observeSteps(results)
-	included := screenRound(results, cfg, net, flopsPerExample, rep, stats)
-
-	// Compress every admitted gradient first: the collective moves one
-	// uniform payload (segmented by the topology), sized by the largest
-	// compressed contribution.
-	var computeS float64
-	var payload int64
-	for _, r := range included {
-		if r.seconds > computeS {
-			computeS = r.seconds
-		}
-		residual := r.wk.residual
-		if cfg.NoErrorFeedback {
-			residual = nil
-		}
-		if b := compressGradient(r.grad, residual, cfg.TopK, cfg.QuantBits); b > payload {
-			payload = b
-		}
-	}
-	members := make([]int, len(active))
-	for i, wk := range active {
-		members[i] = wk.id
-	}
-	excluded, commS, _ := net.exchange(cfg.Topology, members, payload, round, cfg.GroupSize, stats)
-	stats.CommRounds++
-	net.obs.commRounds.Inc()
-	stats.CommSeconds += commS
-	clk.advance(computeS + commS)
-	computeSpan := span.Child("compute", roundStart)
-	computeSpan.End(roundStart + computeS)
-	commSpan := span.Child("comm", roundStart+computeS)
-	commSpan.End(roundStart + computeS + commS)
-
-	avgGrad := make([]float64, modelSize)
-	grads := make([][]float64, 0, len(included))
-	ids := make([]int, 0, len(included))
-	for _, r := range included {
-		if excluded[r.wk.id] {
-			if !cfg.NoErrorFeedback {
-				// The collective never carried this member's contribution;
-				// park it locally like a timed-out upload.
-				for i, g := range r.grad {
-					r.wk.residual[i] += g
-				}
-			}
-			continue
-		}
-		grads = append(grads, r.grad)
-		ids = append(ids, r.wk.id)
-	}
-	if len(grads) == 0 {
-		return 0, false // nothing survived the exchange: no update this round
-	}
-	if chargeAgg {
-		aggS := net.prof.ComputeTime(agg.FLOPs(len(grads), modelSize), 0.5)
-		aggSpan := span.Child("aggregate", roundStart+computeS+commS)
-		aggSpan.End(roundStart + computeS + commS + aggS)
-		clk.advance(aggS)
-		stats.AggSeconds += aggS
-	}
-	agg.Aggregate(avgGrad, grads)
-	observeDistances(rep, ids, grads, avgGrad)
-	for _, wk := range active {
-		mustSetVector(wk.net.SetGradVector(avgGrad))
-		wk.trainer.Opt.Step(wk.net.Params())
-		wk.net.PostStep()
-	}
-	stats.AveragingRound++
-	net.obs.rounds.Inc()
-	return results[0].loss, true
 }
 
 // localRound executes one Local SGD step on every active worker in
@@ -610,157 +512,151 @@ func syncRoundCollective(active []*worker, x, y *tensor.Tensor, cfg Config, net 
 // guard, a worker whose parameters went non-finite (it already applied a
 // poisoned update locally) is rolled back to the newest verifiable global
 // snapshot instead of shipping NaNs into the next average.
-func localRound(active []*worker, x, y *tensor.Tensor, cfg Config, net *transport, clk *jobClock, store *checkpoint.Store, step, round int, flopsPerExample int64, stats *Stats) {
-	results := computeGrads(active, x, y, cfg, net.prof, net.inj, step, round, flopsPerExample, true)
-	net.obs.observeSteps(results)
-	var computeS float64
-	straggled := false
-	for _, r := range results {
-		stats.NumericalFaults += r.injected
-		net.obs.numFaults.Add(int64(r.injected))
-		if r.seconds > computeS {
-			computeS = r.seconds
-		}
-		if r.seconds > net.prof.ComputeTime(flopsPerExample*int64(cfg.BatchSize), 0.5)*1.5 {
-			straggled = true
-		}
-	}
-	if straggled {
-		stats.StragglerRounds++
-		net.obs.stragglerRounds.Inc()
-	}
-	if cfg.Guard != nil && cfg.Guard.Mode == guard.Enforce {
+func (j *Job) localRound(active []*worker, step, round int) {
+	results := j.computeGrads(active, step, round, true)
+	computeS := j.tally(results)
+	if j.cfg.Guard != nil && j.cfg.Guard.Mode == guard.Enforce {
 		var buf []float64
 		for _, r := range results {
 			buf = r.wk.net.ParamVectorInto(buf)
 			if !tensor.AllFinite(buf) {
-				if _, _, err := store.Restore(r.wk.net); err == nil {
-					stats.GuardRestores++
-					net.obs.guardRestores.Inc()
+				if _, _, err := j.store.Restore(r.wk.net); err == nil {
+					j.stats.GuardRestores++
+					j.ins.guardRestores.Inc()
 				}
 			}
 		}
 	}
-	clk.advance(computeS)
+	j.clk.advance(computeS)
 }
 
-// averageRound is Local SGD's model-averaging exchange with fault
-// handling: every live worker ships its parameters up (with retries) and
-// receives the aggregate back. Workers whose upload times out still
-// receive the aggregate, which re-synchronises any post-crash drift;
-// quarantined workers are excluded from contributing but receive it too,
-// so a readmitted worker rejoins in sync (mirroring the crash-rejoin
-// path). Byzantine workers corrupt their uploaded parameter vector.
-func averageRound(active []*worker, cfg Config, net *transport, clk *jobClock, round, modelSize int, agg robust.Aggregator, chargeAgg bool, rep *robust.Reputation, stats *Stats) {
-	rep.BeginRound(round)
-	modelBytes := int64(modelSize) * wireBytesPerFloat
-	avg := make([]float64, modelSize)
-	vecs := make([][]float64, 0, len(active))
-	ids := make([]int, 0, len(active))
-	var uplinkS float64
+// averageRound is Local SGD's model-averaging exchange: every live,
+// unquarantined worker uploads its parameters and every live worker
+// receives the aggregate. Workers whose upload did not arrive still receive
+// it, which re-synchronises any post-crash drift; quarantined workers
+// receive it too, so a readmitted worker rejoins in sync (mirroring the
+// crash-rejoin path). Byzantine workers corrupt their uploaded parameters.
+func (j *Job) averageRound(active []*worker, round int) {
+	j.rep.BeginRound(round)
+	modelBytes := int64(j.modelSize) * wireBytesPerFloat
+	var senders []*worker
+	var ids []int
+	var sizes []int64
 	for _, wk := range active {
-		if rep.Quarantined(wk.id) {
-			stats.QuarantineExcluded++
-			net.obs.quarExcluded.Inc()
+		if j.rep.Quarantined(wk.id) {
+			j.stats.QuarantineExcluded++
+			j.ins.quarExcluded.Inc()
 			continue
 		}
-		ok, elapsed := net.send(wk.id, 2*round, modelBytes, stats)
-		if elapsed > uplinkS {
-			uplinkS = elapsed
-		}
-		if !ok {
-			stats.Timeouts++
-			net.obs.timeouts.Inc()
+		senders = append(senders, wk)
+		ids = append(ids, wk.id)
+		sizes = append(sizes, modelBytes)
+	}
+	arrived, upS := j.upload(active, ids, sizes, round)
+	j.clk.advance(upS)
+
+	vecs := make([][]float64, 0, len(senders))
+	ids = ids[:0]
+	for i, wk := range senders {
+		if !arrived[i] {
 			continue
 		}
 		v := wk.net.ParamVectorInto(nil)
-		if net.inj.CorruptGradient(v, wk.id, round) {
-			stats.ByzantineAttacks++
-			net.obs.byzAttacks.Inc()
+		if j.inj.CorruptGradient(v, wk.id, round) {
+			j.stats.ByzantineAttacks++
+			j.ins.byzAttacks.Inc()
 		}
 		vecs = append(vecs, v)
 		ids = append(ids, wk.id)
 	}
-	clk.advance(uplinkS)
 	if len(vecs) == 0 {
 		return
 	}
-	if chargeAgg {
-		aggS := net.prof.ComputeTime(agg.FLOPs(len(vecs), modelSize), 0.5)
-		clk.advance(aggS)
-		stats.AggSeconds += aggS
-	}
-	agg.Aggregate(avg, vecs)
-	observeDistances(rep, ids, vecs, avg)
-	var downlinkS float64
+	avg := j.aggregate(nil, 0, vecs, ids)
+	j.clk.advance(j.download(active, modelBytes, round))
 	for _, wk := range active {
-		stats.BytesSent += modelBytes
-		net.obs.bytesSent.Add(modelBytes)
-		_, elapsed := net.broadcast(wk.id, 2*round+1, modelBytes, stats)
-		if elapsed > downlinkS {
-			downlinkS = elapsed
-		}
 		mustSetVector(wk.net.SetParamVector(avg))
 	}
-	clk.advance(downlinkS)
-	stats.AveragingRound++
-	net.obs.rounds.Inc()
+	j.stats.AveragingRound++
+	j.ins.rounds.Inc()
 }
 
-// averageRoundCollective is Local SGD's model-averaging exchange over an
-// explicit collective topology: one reduce-broadcast of the full parameter
-// vector replaces the star's upload/download pair. Members the exchange
-// excluded (dead links, partition) contribute nothing this round but still
-// receive the aggregate, like quarantined workers; Byzantine members
-// corrupt the parameters they feed into the reduction.
-func averageRoundCollective(active []*worker, cfg Config, net *transport, clk *jobClock, round, modelSize int, agg robust.Aggregator, chargeAgg bool, rep *robust.Reputation, stats *Stats) {
-	rep.BeginRound(round)
-	modelBytes := int64(modelSize) * wireBytesPerFloat
+// upload moves the contributions of workers ids (sizes[i] bytes each) toward
+// the aggregate and reports which arrived plus the simulated seconds it
+// took. Under the parameter-server star each worker sends its own payload
+// with retries, and one that exhausts them times out. Under a collective
+// one reduce-broadcast over every active member carries a uniform payload
+// sized by the largest contribution; members it excluded (dead links, a
+// partition) did not arrive.
+func (j *Job) upload(active []*worker, ids []int, sizes []int64, round int) ([]bool, float64) {
+	arrived := make([]bool, len(ids))
+	if j.cfg.Topology == TopoDefault {
+		var seconds float64
+		for i, id := range ids {
+			ok, s := j.net.send(id, 2*round, sizes[i], &j.stats)
+			if s > seconds {
+				seconds = s
+			}
+			arrived[i] = ok
+			if !ok {
+				j.stats.Timeouts++
+				j.ins.timeouts.Inc()
+			}
+		}
+		return arrived, seconds
+	}
+	var payload int64
+	for _, b := range sizes {
+		payload = max(payload, b)
+	}
 	members := make([]int, len(active))
 	for i, wk := range active {
 		members[i] = wk.id
 	}
-	excluded, commS, _ := net.exchange(cfg.Topology, members, modelBytes, round, cfg.GroupSize, stats)
-	stats.CommRounds++
-	net.obs.commRounds.Inc()
-	stats.CommSeconds += commS
-	clk.advance(commS)
+	excluded, seconds, _ := j.net.exchange(j.cfg.Topology, members, payload, round, j.cfg.GroupSize, &j.stats)
+	j.stats.CommRounds++
+	j.ins.commRounds.Inc()
+	j.stats.CommSeconds += seconds
+	for i, id := range ids {
+		arrived[i] = !excluded[id]
+	}
+	return arrived, seconds
+}
 
-	avg := make([]float64, modelSize)
-	vecs := make([][]float64, 0, len(active))
-	ids := make([]int, 0, len(active))
+// download delivers the aggregate (bytes per worker) to every active worker
+// and returns the simulated seconds it took. Under the star the server
+// broadcasts to each worker, persisting past the per-round retry budget; a
+// collective's reduce-broadcast already delivered the aggregate, so it
+// costs nothing more.
+func (j *Job) download(active []*worker, bytes int64, round int) float64 {
+	if j.cfg.Topology != TopoDefault {
+		return 0
+	}
+	var seconds float64
 	for _, wk := range active {
-		if rep.Quarantined(wk.id) {
-			stats.QuarantineExcluded++
-			net.obs.quarExcluded.Inc()
-			continue
+		if _, s := j.net.broadcast(wk.id, 2*round+1, bytes, &j.stats); s > seconds {
+			seconds = s
 		}
-		if excluded[wk.id] {
-			continue
-		}
-		v := wk.net.ParamVectorInto(nil)
-		if net.inj.CorruptGradient(v, wk.id, round) {
-			stats.ByzantineAttacks++
-			net.obs.byzAttacks.Inc()
-		}
-		vecs = append(vecs, v)
-		ids = append(ids, wk.id)
 	}
-	if len(vecs) == 0 {
-		return
+	return seconds
+}
+
+// aggregate combines the delivered contributions (worker-id order) into a
+// fresh vector and feeds the reputation tracker each contributor's
+// distance to it. An explicitly configured aggregator is charged its FLOPs
+// cost on the simulated clock, recorded as an "aggregate" span under span
+// from startS: robustness costs time, and X9 measures it.
+func (j *Job) aggregate(span *obs.Span, startS float64, vecs [][]float64, ids []int) []float64 {
+	if j.chargeAgg {
+		aggS := j.prof.ComputeTime(j.agg.FLOPs(len(vecs), j.modelSize), 0.5)
+		span.Child("aggregate", startS).End(startS + aggS)
+		j.clk.advance(aggS)
+		j.stats.AggSeconds += aggS
 	}
-	if chargeAgg {
-		aggS := net.prof.ComputeTime(agg.FLOPs(len(vecs), modelSize), 0.5)
-		clk.advance(aggS)
-		stats.AggSeconds += aggS
-	}
-	agg.Aggregate(avg, vecs)
-	observeDistances(rep, ids, vecs, avg)
-	for _, wk := range active {
-		mustSetVector(wk.net.SetParamVector(avg))
-	}
-	stats.AveragingRound++
-	net.obs.rounds.Inc()
+	out := make([]float64, j.modelSize)
+	j.agg.Aggregate(out, vecs)
+	observeDistances(j.rep, ids, vecs, out)
+	return out
 }
 
 // observeDistances feeds the reputation tracker each contributor's
@@ -784,16 +680,16 @@ func observeDistances(rep *robust.Reputation, ids []int, vecs [][]float64, aggre
 
 // takeSnapshot captures the consensus model, possibly corrupting the
 // stored payload (which a later Restore detects via CRC and skips).
-func takeSnapshot(store *checkpoint.Store, inj *fault.Injector, step int, net *nn.Network, stats *Stats, ins *distObs) {
+func (j *Job) takeSnapshot(step int, net *nn.Network) {
 	snap := checkpoint.TakeSnapshot(step, net)
-	if inj.Corrupts(-1, step, 0) {
-		inj.CorruptPayload(snap.Payload, -1, step, 0)
+	if j.inj.Corrupts(-1, step, 0) {
+		j.inj.CorruptPayload(snap.Payload, -1, step, 0)
 	}
-	store.Put(snap)
-	stats.Snapshots++
-	stats.SnapshotBytes += snap.Bytes()
-	ins.snapshots.Inc()
-	ins.snapshotBytes.Add(snap.Bytes())
+	j.store.Put(snap)
+	j.stats.Snapshots++
+	j.stats.SnapshotBytes += snap.Bytes()
+	j.ins.snapshots.Inc()
+	j.ins.snapshotBytes.Add(snap.Bytes())
 }
 
 // transport simulates the cluster links: per-attempt loss/corruption from
@@ -808,23 +704,36 @@ type transport struct {
 	obs        *distObs // always non-nil; build with newDistObs (nil handle → no-ops)
 }
 
-func (t *transport) attemptTime(bytes int64) float64 {
-	return t.prof.SendTime(bytes)
-}
-
 // send attempts a worker upload up to maxRetries times. Returns whether
 // the message was delivered plus the simulated seconds spent.
 func (t *transport) send(worker, msgKey int, bytes int64, stats *Stats) (bool, float64) {
+	return t.transmit(worker, msgKey, bytes, t.maxRetries, t.maxRetries, stats)
+}
+
+// broadcast is the server→worker path. The server retries past the
+// per-round budget (it persists across rounds), so delivery is guaranteed;
+// the attempt cap is only a safeguard against pathological configs with
+// loss probability ~1, and the backoff stops doubling after ten attempts.
+func (t *transport) broadcast(worker, msgKey int, bytes int64, stats *Stats) (bool, float64) {
+	_, elapsed := t.transmit(worker, msgKey, bytes, 64, 10, stats)
+	return true, elapsed
+}
+
+// transmit makes up to attempts tries at one message. Every attempt crosses
+// the link (its bytes are counted) and may be rejected by the receiver's
+// CRC or lost in flight; each retransmission first waits an exponential
+// backoff whose exponent is capped at maxShift.
+func (t *transport) transmit(worker, msgKey int, bytes int64, attempts, maxShift int, stats *Stats) (bool, float64) {
 	var elapsed float64
-	for attempt := 0; attempt < t.maxRetries; attempt++ {
+	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
 			stats.Retransmissions++
 			t.obs.retrans.Inc()
-			elapsed += t.backoffS * float64(int64(1)<<(attempt-1))
+			elapsed += t.backoffS * float64(int64(1)<<(min(attempt, maxShift)-1))
 		}
 		stats.BytesSent += bytes
 		t.obs.bytesSent.Add(bytes)
-		elapsed += t.attemptTime(bytes)
+		elapsed += t.prof.SendTime(bytes)
 		if t.inj.Corrupts(worker, msgKey, attempt) {
 			stats.Corruptions++
 			t.obs.corrupts.Inc()
@@ -838,41 +747,6 @@ func (t *transport) send(worker, msgKey int, bytes int64, stats *Stats) (bool, f
 		return true, elapsed
 	}
 	return false, elapsed
-}
-
-// broadcast is the server→worker path. The server retries past the
-// per-round budget (it persists across rounds), so delivery is guaranteed;
-// the attempt cap is only a safeguard against pathological configs with
-// loss probability ~1.
-func (t *transport) broadcast(worker, msgKey int, bytes int64, stats *Stats) (bool, float64) {
-	var elapsed float64
-	const hardCap = 64
-	for attempt := 0; attempt < hardCap; attempt++ {
-		if attempt > 0 {
-			stats.Retransmissions++
-			t.obs.retrans.Inc()
-			stats.BytesSent += bytes // each re-send crosses the link again
-			t.obs.bytesSent.Add(bytes)
-			backoff := attempt
-			if backoff > 10 {
-				backoff = 10
-			}
-			elapsed += t.backoffS * float64(int64(1)<<(backoff-1))
-		}
-		elapsed += t.attemptTime(bytes)
-		if t.inj.Corrupts(worker, msgKey, attempt) {
-			stats.Corruptions++
-			t.obs.corrupts.Inc()
-			continue
-		}
-		if t.inj.Drops(worker, msgKey, attempt) {
-			stats.DroppedMessages++
-			t.obs.drops.Inc()
-			continue
-		}
-		return true, elapsed
-	}
-	return true, elapsed
 }
 
 func shardIndices(n, workers int) [][]int {
@@ -1026,12 +900,6 @@ func perWorkerBroadcastBytes(avg []float64, cfg Config) int64 {
 		per += int64(nz) * 4
 	}
 	return per
-}
-
-// broadcastBytes accounts the server→workers traffic for the averaged
-// update under the same compression settings.
-func broadcastBytes(avg []float64, cfg Config, workers int) int64 {
-	return perWorkerBroadcastBytes(avg, cfg) * int64(workers)
 }
 
 // StepTimeModel computes the simulated per-step wall-clock time of

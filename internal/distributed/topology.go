@@ -7,17 +7,20 @@ import (
 	"dlsys/internal/device"
 )
 
-// Topology selects the collective communication pattern used for averaging
-// rounds. The zero value (TopoDefault) keeps the historical parameter-server
-// star bit-for-bit; the explicit topologies replace the star with a
-// reduce-broadcast collective whose per-hop costs are priced by
-// device.TransferTime and charged to the simulated clock, so time-per-round
-// scales with worker count the way the real pattern does instead of O(n²).
+// Topology selects the communication pattern of averaging rounds. It only
+// decides how bytes move between the workers and the aggregate: compute,
+// screening, robust aggregation and the update are one implementation for
+// every pattern. The zero value (TopoDefault) is the parameter-server star;
+// the explicit topologies run a reduce-broadcast collective whose per-hop
+// costs are priced by device.TransferTime and charged to the simulated
+// clock, so time-per-round scales with worker count the way the real
+// pattern does instead of O(n²).
 type Topology string
 
 const (
-	// TopoDefault is the historical parameter-server star: every worker
-	// uploads to a central server which broadcasts the aggregate back.
+	// TopoDefault is the parameter-server star: every worker uploads to a
+	// central server, retrying lost or corrupted sends, and the server
+	// broadcasts the aggregate back to each worker.
 	TopoDefault Topology = ""
 	// TopoAllToAll is the full mesh: m-1 serialized phases in which every
 	// member exchanges the whole payload with one peer. O(n) phases of

@@ -45,10 +45,11 @@ func (h *huffHeap) Push(x any)   { *h = append(*h, x.(*huffNode)) }
 func (h *huffHeap) Pop() any     { old := *h; n := old[len(old)-1]; *h = old[:len(old)-1]; return n }
 
 // BuildHuffman computes canonical code lengths for the symbol distribution
-// of codes. It panics on empty input.
-func BuildHuffman(codes []uint16) *HuffmanTable {
+// of codes. Empty input has no distribution to code and yields a
+// *HuffmanError matching ErrHuffmanEmpty.
+func BuildHuffman(codes []uint16) (*HuffmanTable, error) {
 	if len(codes) == 0 {
-		panic("quant: BuildHuffman on empty input")
+		return nil, &HuffmanError{Err: ErrHuffmanEmpty}
 	}
 	freq := map[uint16]int{}
 	for _, c := range codes {
@@ -63,7 +64,7 @@ func BuildHuffman(codes []uint16) *HuffmanTable {
 		// Single distinct symbol: assign it a 1-bit code.
 		t := &HuffmanTable{Lengths: map[uint16]int{h[0].sym: 1}}
 		t.assignCanonical()
-		return t
+		return t, nil
 	}
 	for h.Len() > 1 {
 		a := heap.Pop(&h).(*huffNode)
@@ -82,7 +83,7 @@ func BuildHuffman(codes []uint16) *HuffmanTable {
 	}
 	walk(h[0], 0)
 	t.assignCanonical()
-	return t
+	return t, nil
 }
 
 func minSym(a, b *huffNode) uint16 {
@@ -145,16 +146,19 @@ func (t *HuffmanTable) Encode(codes []uint16) (packed []byte, bitLen int) {
 	return buf, bitLen
 }
 
-// ErrHuffmanTruncated and ErrHuffmanInvalid classify a HuffmanError.
+// ErrHuffmanEmpty, ErrHuffmanTruncated and ErrHuffmanInvalid classify a
+// HuffmanError.
 var (
+	ErrHuffmanEmpty     = errors.New("no symbols to code")
 	ErrHuffmanTruncated = errors.New("bitstream exhausted")
 	ErrHuffmanInvalid   = errors.New("invalid code")
 )
 
-// HuffmanError reports where Decode stopped on a bitstream it could not
-// turn into the requested symbols. errors.Is matches it against
-// ErrHuffmanTruncated (the stream ended before n symbols, possibly
-// mid-code) or ErrHuffmanInvalid (a bit sequence matches no code).
+// HuffmanError reports why BuildHuffman could not build a table or where
+// Decode stopped on a bitstream it could not turn into the requested
+// symbols. errors.Is matches it against ErrHuffmanEmpty (BuildHuffman got
+// no symbols), ErrHuffmanTruncated (the stream ended before n symbols,
+// possibly mid-code) or ErrHuffmanInvalid (a bit sequence matches no code).
 type HuffmanError struct {
 	Err     error
 	Bit     int // bit offset at which decoding stopped
@@ -162,6 +166,9 @@ type HuffmanError struct {
 }
 
 func (e *HuffmanError) Error() string {
+	if e.Err == ErrHuffmanEmpty {
+		return "quant: Huffman build: " + e.Err.Error()
+	}
 	return fmt.Sprintf("quant: Huffman decode: %v at bit %d after %d symbols", e.Err, e.Bit, e.Decoded)
 }
 
@@ -204,9 +211,12 @@ func (t *HuffmanTable) Decode(packed []byte, n int) ([]uint16, error) {
 }
 
 // HuffmanBytes returns the compressed size in bytes for codes: the packed
-// bitstream plus a 4-byte-per-entry length table.
+// bitstream plus a 4-byte-per-entry length table. No codes take no bytes.
 func HuffmanBytes(codes []uint16) int64 {
-	t := BuildHuffman(codes)
+	t, err := BuildHuffman(codes)
+	if err != nil {
+		return 0
+	}
 	_, bits := t.Encode(codes)
 	return int64((bits+7)/8) + int64(len(t.Lengths))*4
 }

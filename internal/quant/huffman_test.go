@@ -5,9 +5,56 @@ import (
 	"testing"
 )
 
+// mustHuffman builds a table from test data that is never empty.
+func mustHuffman(codes []uint16) *HuffmanTable {
+	t, err := BuildHuffman(codes)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
 // skewedTable has the canonical codes 0→"0", 1→"10", 2→"110", 3→"111".
 func skewedTable() *HuffmanTable {
-	return BuildHuffman([]uint16{0, 0, 0, 0, 1, 1, 2, 3})
+	return mustHuffman([]uint16{0, 0, 0, 0, 1, 1, 2, 3})
+}
+
+// TestBuildHuffmanErrors pins the empty-input contract: BuildHuffman
+// returns a typed error instead of panicking, and HuffmanBytes, which
+// sizes arbitrary code streams, reports zero bytes for no codes.
+func TestBuildHuffmanErrors(t *testing.T) {
+	cases := []struct {
+		name      string
+		codes     []uint16
+		wantErr   error
+		wantBytes int64
+	}{
+		{"nil", nil, ErrHuffmanEmpty, 0},
+		{"empty", []uint16{}, ErrHuffmanEmpty, 0},
+		{"one symbol", []uint16{7}, nil, 1 + 4},
+		{"skewed", []uint16{0, 0, 0, 0, 1, 1, 2, 3}, nil, 2 + 4*4},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			table, err := BuildHuffman(c.codes)
+			if c.wantErr == nil {
+				if err != nil || table == nil {
+					t.Fatalf("BuildHuffman = %v, %v; want a table", table, err)
+				}
+			} else {
+				var he *HuffmanError
+				if table != nil || !errors.As(err, &he) || !errors.Is(err, c.wantErr) {
+					t.Fatalf("BuildHuffman = %v, %v; want a HuffmanError matching %v", table, err, c.wantErr)
+				}
+				if err.Error() != "quant: Huffman build: no symbols to code" {
+					t.Fatalf("error text %q", err.Error())
+				}
+			}
+			if got := HuffmanBytes(c.codes); got != c.wantBytes {
+				t.Fatalf("HuffmanBytes = %d, want %d", got, c.wantBytes)
+			}
+		})
+	}
 }
 
 func TestHuffmanDecodeErrors(t *testing.T) {
@@ -24,7 +71,7 @@ func TestHuffmanDecodeErrors(t *testing.T) {
 		{"truncated mid-code", skewedTable(), threes[:1], 3, ErrHuffmanTruncated, 8, 2},
 		{"truncated at a code boundary", skewedTable(), ones, 5, ErrHuffmanTruncated, 8, 4},
 		{"empty input", skewedTable(), nil, 3, ErrHuffmanTruncated, 0, 0},
-		{"invalid code", BuildHuffman([]uint16{7}), []byte{0x80}, 1, ErrHuffmanInvalid, 0, 0},
+		{"invalid code", mustHuffman([]uint16{7}), []byte{0x80}, 1, ErrHuffmanInvalid, 0, 0},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -57,10 +104,10 @@ func FuzzHuffmanDecode(f *testing.F) {
 		}
 	}
 	tables := []*HuffmanTable{
-		BuildHuffman([]uint16{7}),
+		mustHuffman([]uint16{7}),
 		skewedTable(),
-		BuildHuffman([]uint16{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}),
-		BuildHuffman(deep),
+		mustHuffman([]uint16{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}),
+		mustHuffman(deep),
 	}
 	f.Add([]byte{0xff, 0x80}, uint16(3), uint8(1))
 	f.Add([]byte{0xff}, uint16(3), uint8(1))

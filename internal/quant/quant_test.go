@@ -167,7 +167,7 @@ func TestHuffmanRoundTrip(t *testing.T) {
 		// Skewed distribution so Huffman actually compresses.
 		codes[i] = uint16(rng.ExpFloat64() * 3)
 	}
-	table := BuildHuffman(codes)
+	table := mustHuffman(codes)
 	packed, bits := table.Encode(codes)
 	if len(packed) != (bits+7)/8 {
 		t.Fatalf("packed %d bytes for %d bits", len(packed), bits)
@@ -189,7 +189,7 @@ func TestHuffmanRoundTrip(t *testing.T) {
 
 func TestHuffmanSingleSymbol(t *testing.T) {
 	codes := []uint16{7, 7, 7, 7}
-	table := BuildHuffman(codes)
+	table := mustHuffman(codes)
 	packed, _ := table.Encode(codes)
 	decoded, err := table.Decode(packed, 4)
 	if err != nil {
@@ -211,7 +211,7 @@ func TestHuffmanRoundTripQuick(t *testing.T) {
 		for i, b := range raw {
 			codes[i] = uint16(b % 17)
 		}
-		table := BuildHuffman(codes)
+		table := mustHuffman(codes)
 		packed, _ := table.Encode(codes)
 		decoded, err := table.Decode(packed, len(codes))
 		if err != nil {
