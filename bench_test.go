@@ -192,7 +192,9 @@ func BenchmarkHuffmanEncode(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		table.Encode(codes)
+		if _, _, err := table.Encode(codes); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

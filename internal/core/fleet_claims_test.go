@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestX14FleetClaims pins the X14 acceptance criteria at Quick scale:
 // the budgets-off arm collapses metastably after the flash crowd, the
@@ -46,6 +49,36 @@ func TestX14FleetClaims(t *testing.T) {
 	for check, seen := range want {
 		if !seen {
 			t.Errorf("missing row %q", check)
+		}
+	}
+}
+
+// TestX14ReplaysAcrossGOMAXPROCS extends the replay contract to the
+// scheduler for the overload day: both X14 arms replayed at GOMAXPROCS 1,
+// 2 and 8 must leave the kernel log, the fleet's outcome ledger and the
+// metric registry fingerprints identical.
+func TestX14ReplaysAcrossGOMAXPROCS(t *testing.T) {
+	if testing.Short() {
+		t.Skip("X14 overload day skipped in -short mode")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, fullPlane := range []bool{true, false} {
+		var ref [3]uint64
+		for i, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			res, kernelFP, regFP, _, err := x14Run(x14Requests(Quick), fullPlane)
+			if err != nil {
+				t.Fatalf("fullPlane=%v GOMAXPROCS=%d: %v", fullPlane, procs, err)
+			}
+			got := [3]uint64{kernelFP, res.LedgerFP, regFP}
+			if i == 0 {
+				ref = got
+				continue
+			}
+			if got != ref {
+				t.Errorf("fullPlane=%v GOMAXPROCS=%d fingerprints (kernel, ledger, registry) %x, GOMAXPROCS=1 %x",
+					fullPlane, procs, got, ref)
+			}
 		}
 	}
 }

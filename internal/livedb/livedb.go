@@ -293,7 +293,6 @@ type Engine struct {
 	cooldownUntil float64
 	frozen        []uint64 // main ∪ delta captured at retrain start
 	stopped       bool
-	maintEv       *sim.Event
 
 	snaps []versionedSnap
 
@@ -382,7 +381,7 @@ func (e *Engine) buildBloom(keys []uint64) *learned.LearnedBloom {
 // kernel. Call once, before Kernel.Run.
 func (e *Engine) Start() {
 	maint := e.k.Actor("livedb-maint")
-	e.maintEv = maint.Every(e.cfg.MaintainEvery, e.cfg.MaintainEvery, func(now float64) bool {
+	maint.Every(e.cfg.MaintainEvery, e.cfg.MaintainEvery, func(now float64) bool {
 		if e.stopped {
 			return false
 		}

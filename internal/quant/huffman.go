@@ -122,15 +122,17 @@ func (t *HuffmanTable) assignCanonical() {
 }
 
 // Encode packs codes into a Huffman bitstream. Returns the packed bytes and
-// the exact bit count (the final byte may be partially used).
-func (t *HuffmanTable) Encode(codes []uint16) (packed []byte, bitLen int) {
+// the exact bit count (the final byte may be partially used). A symbol the
+// table was not built from has no code: Encode then returns a
+// *HuffmanError matching ErrHuffmanSymbol and no bytes.
+func (t *HuffmanTable) Encode(codes []uint16) (packed []byte, bitLen int, err error) {
 	var buf []byte
 	var acc uint64
 	var nbits int
-	for _, sym := range codes {
+	for i, sym := range codes {
 		hc, ok := t.codes[sym]
 		if !ok {
-			panic(fmt.Sprintf("quant: symbol %d not in Huffman table", sym))
+			return nil, 0, &HuffmanError{Err: ErrHuffmanSymbol, Index: i, Symbol: sym}
 		}
 		acc = acc<<uint(hc.len) | uint64(hc.bits)
 		nbits += hc.len
@@ -143,31 +145,39 @@ func (t *HuffmanTable) Encode(codes []uint16) (packed []byte, bitLen int) {
 	if nbits > 0 {
 		buf = append(buf, byte(acc<<(8-uint(nbits))))
 	}
-	return buf, bitLen
+	return buf, bitLen, nil
 }
 
-// ErrHuffmanEmpty, ErrHuffmanTruncated and ErrHuffmanInvalid classify a
-// HuffmanError.
+// ErrHuffmanEmpty, ErrHuffmanSymbol, ErrHuffmanTruncated and
+// ErrHuffmanInvalid classify a HuffmanError.
 var (
 	ErrHuffmanEmpty     = errors.New("no symbols to code")
+	ErrHuffmanSymbol    = errors.New("symbol not in table")
 	ErrHuffmanTruncated = errors.New("bitstream exhausted")
 	ErrHuffmanInvalid   = errors.New("invalid code")
 )
 
-// HuffmanError reports why BuildHuffman could not build a table or where
-// Decode stopped on a bitstream it could not turn into the requested
-// symbols. errors.Is matches it against ErrHuffmanEmpty (BuildHuffman got
-// no symbols), ErrHuffmanTruncated (the stream ended before n symbols,
-// possibly mid-code) or ErrHuffmanInvalid (a bit sequence matches no code).
+// HuffmanError reports why BuildHuffman could not build a table, which
+// symbol Encode could not code, or where Decode stopped on a bitstream it
+// could not turn into the requested symbols. errors.Is matches it against
+// ErrHuffmanEmpty (BuildHuffman got no symbols), ErrHuffmanSymbol (Encode
+// met a symbol the table has no code for), ErrHuffmanTruncated (the stream
+// ended before n symbols, possibly mid-code) or ErrHuffmanInvalid (a bit
+// sequence matches no code).
 type HuffmanError struct {
 	Err     error
-	Bit     int // bit offset at which decoding stopped
-	Decoded int // symbols decoded before the failure
+	Bit     int    // bit offset at which decoding stopped
+	Decoded int    // symbols decoded before the failure
+	Index   int    // position in Encode's input of the uncodable symbol
+	Symbol  uint16 // the uncodable symbol
 }
 
 func (e *HuffmanError) Error() string {
-	if e.Err == ErrHuffmanEmpty {
+	switch e.Err {
+	case ErrHuffmanEmpty:
 		return "quant: Huffman build: " + e.Err.Error()
+	case ErrHuffmanSymbol:
+		return fmt.Sprintf("quant: Huffman encode: %v: %d at index %d", e.Err, e.Symbol, e.Index)
 	}
 	return fmt.Sprintf("quant: Huffman decode: %v at bit %d after %d symbols", e.Err, e.Bit, e.Decoded)
 }
@@ -217,6 +227,6 @@ func HuffmanBytes(codes []uint16) int64 {
 	if err != nil {
 		return 0
 	}
-	_, bits := t.Encode(codes)
+	_, bits, _ := t.Encode(codes) // a table built from codes codes every symbol
 	return int64((bits+7)/8) + int64(len(t.Lengths))*4
 }

@@ -58,8 +58,8 @@ func TestBuildHuffmanErrors(t *testing.T) {
 }
 
 func TestHuffmanDecodeErrors(t *testing.T) {
-	threes, _ := skewedTable().Encode([]uint16{3, 3, 3})  // 111111111: 2 bytes
-	ones, _ := skewedTable().Encode([]uint16{1, 1, 1, 1}) // 10101010: 1 byte
+	threes, _, _ := skewedTable().Encode([]uint16{3, 3, 3})  // 111111111: 2 bytes
+	ones, _, _ := skewedTable().Encode([]uint16{1, 1, 1, 1}) // 10101010: 1 byte
 	cases := []struct {
 		name         string
 		table        *HuffmanTable
@@ -90,6 +90,46 @@ func TestHuffmanDecodeErrors(t *testing.T) {
 	}
 	if _, err := skewedTable().Decode(ones, -1); err == nil {
 		t.Fatal("negative symbol count accepted")
+	}
+}
+
+// TestHuffmanEncodeErrors pins Encode's contract for symbols outside the
+// table: a typed error naming the first uncodable symbol, never a panic,
+// and no partial output.
+func TestHuffmanEncodeErrors(t *testing.T) {
+	cases := []struct {
+		name        string
+		table       *HuffmanTable
+		codes       []uint16
+		wantErr     error
+		index       int
+		sym         uint16
+		bytes, bits int
+	}{
+		{"all known", skewedTable(), []uint16{0, 1, 2, 3}, nil, 0, 0, 2, 9},
+		{"no codes", skewedTable(), nil, nil, 0, 0, 0, 0},
+		{"unknown first", skewedTable(), []uint16{9, 0}, ErrHuffmanSymbol, 0, 9, 0, 0},
+		{"unknown after known", skewedTable(), []uint16{0, 1, 4, 5}, ErrHuffmanSymbol, 2, 4, 0, 0},
+		{"single-symbol table", mustHuffman([]uint16{7}), []uint16{7, 7, 8}, ErrHuffmanSymbol, 2, 8, 0, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			packed, bits, err := c.table.Encode(c.codes)
+			if c.wantErr == nil {
+				if err != nil || len(packed) != c.bytes || bits != c.bits {
+					t.Fatalf("Encode = %d bytes, %d bits, %v; want %d bytes, %d bits", len(packed), bits, err, c.bytes, c.bits)
+				}
+				return
+			}
+			var he *HuffmanError
+			if !errors.As(err, &he) || !errors.Is(err, c.wantErr) {
+				t.Fatalf("Encode error %v; want a HuffmanError matching %v", err, c.wantErr)
+			}
+			if he.Index != c.index || he.Symbol != c.sym || packed != nil || bits != 0 {
+				t.Fatalf("symbol %d at index %d with %d bytes, %d bits out; want symbol %d at index %d and no output",
+					he.Symbol, he.Index, len(packed), bits, c.sym, c.index)
+			}
+		})
 	}
 }
 
@@ -128,7 +168,10 @@ func FuzzHuffmanDecode(f *testing.F) {
 		if len(out) != int(n) {
 			t.Fatalf("decoded %d symbols, want %d", len(out), n)
 		}
-		re, bits := table.Encode(out)
+		re, bits, err := table.Encode(out)
+		if err != nil {
+			t.Fatalf("re-encoding decoded symbols: %v", err)
+		}
 		for i := 0; i < bits; i++ {
 			if (re[i/8]^packed[i/8])>>(7-uint(i%8))&1 != 0 {
 				t.Fatalf("re-encoding differs from the input at bit %d", i)

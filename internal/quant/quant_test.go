@@ -168,7 +168,10 @@ func TestHuffmanRoundTrip(t *testing.T) {
 		codes[i] = uint16(rng.ExpFloat64() * 3)
 	}
 	table := mustHuffman(codes)
-	packed, bits := table.Encode(codes)
+	packed, bits, err := table.Encode(codes)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(packed) != (bits+7)/8 {
 		t.Fatalf("packed %d bytes for %d bits", len(packed), bits)
 	}
@@ -190,7 +193,10 @@ func TestHuffmanRoundTrip(t *testing.T) {
 func TestHuffmanSingleSymbol(t *testing.T) {
 	codes := []uint16{7, 7, 7, 7}
 	table := mustHuffman(codes)
-	packed, _ := table.Encode(codes)
+	packed, _, err := table.Encode(codes)
+	if err != nil {
+		t.Fatal(err)
+	}
 	decoded, err := table.Decode(packed, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +218,10 @@ func TestHuffmanRoundTripQuick(t *testing.T) {
 			codes[i] = uint16(b % 17)
 		}
 		table := mustHuffman(codes)
-		packed, _ := table.Encode(codes)
+		packed, _, err := table.Encode(codes)
+		if err != nil {
+			return false
+		}
 		decoded, err := table.Decode(packed, len(codes))
 		if err != nil {
 			return false

@@ -114,7 +114,7 @@ func TestRetryBudgetTokens(t *testing.T) {
 }
 
 func TestResultCacheLRUAndTTL(t *testing.T) {
-	c := newResultCache(CacheConfig{Capacity: 2, TTLS: 1}, 0.02)
+	c := newResultCache(CacheConfig{Capacity: 2, TTLS: 1}, 0.02, 4)
 	c.put(1, 11, 0)
 	c.put(2, 22, 0)
 	if v, ok := c.get(1, 0.5); !ok || v != 11 {

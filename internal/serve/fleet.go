@@ -23,7 +23,11 @@ import (
 // per request (one arrival, one amortized share of a batched completion),
 // no per-request record storage — the ledger is an incremental FNV-1a
 // fingerprint plus aggregate tallies and a fixed-width goodput timeline —
-// and all request state travels through value-typed queue entries. Sweeps
+// and all request state travels through value-typed queue entries. The
+// hot event chains allocate nothing per event: arrivals, completions and
+// retries are scheduled with sim.Actor.AtArg on handlers bound once, with
+// a tenant, replica or retry-slot index as the payload, and the state they
+// need sits in reused per-tenant, per-replica and pooled buffers. Sweeps
 // over >=1M requests run in wall seconds (the CI guardrail holds the
 // event loop above 100k simulated requests per wall-second).
 //
@@ -147,8 +151,8 @@ func (c FleetConfig) validate() error {
 }
 
 // fleetReq is one attempt's worth of request state; it travels by value
-// through the queue and event closures, so the fleet stores no per-request
-// ledger rows.
+// through the queue, the replicas' batch buffers and the retry pool, so
+// the fleet stores no per-request ledger rows.
 type fleetReq struct {
 	id       int
 	tenant   int
@@ -248,7 +252,10 @@ func foldOutcome(l *sim.FNV, rq fleetReq, oc Outcome, finish float64) {
 const fleetLatBuckets = 256
 
 // Fleet runs the event-driven serving simulation. Build with NewFleet,
-// drive with Run (standalone) or Start+Result (shared kernel).
+// drive with Run (standalone) or Start+Result (shared kernel). Its three
+// hot handlers — arrive, completeReplica and retry — are bound once and
+// scheduled with an int payload, so a running day allocates nothing per
+// event.
 type Fleet struct {
 	cfg FleetConfig
 	inj *fault.Injector
@@ -267,7 +274,15 @@ type Fleet struct {
 
 	weights []float64 // tenant traffic shares, sum 1
 	quota   []int     // per-tenant first-attempt request counts
-	keyPred []int     // cached result identity per key
+	keyPred []int     // cached result identity per key; nil = the key itself
+
+	// Event handlers, bound once so scheduling them allocates nothing.
+	arriveFn, completeFn, retryFn func(stamp float64, arg int)
+
+	arrSeq    []int        // per tenant: seq of its pending arrival
+	batches   [][]fleetReq // per replica: its in-flight batch (at most one)
+	retryReqs []fleetReq   // pending retries, indexed by retry slot
+	retryFree []int        // free retry slots
 
 	queue []fleetReq
 	qHead int
@@ -326,9 +341,12 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		nextReplica:  cfg.Replicas,
 		peakReplicas: cfg.Replicas,
 		tenants:      make([]TenantStats, cfg.Tenants),
+		arrSeq:       make([]int, cfg.Tenants),
+		batches:      make([][]fleetReq, cfg.Replicas),
 		latWidth:     4 * cfg.DeadlineS / fleetLatBuckets,
 		perItemS:     (cfg.ServiceS + float64(cfg.BatchMax-1)*cfg.BatchItemS) / float64(cfg.BatchMax),
 	}
+	f.arriveFn, f.completeFn, f.retryFn = f.arrive, f.completeReplica, f.retry
 	f.inj.SetClock(k)
 	for i := cfg.Replicas - 1; i >= 0; i-- {
 		f.idle = append(f.idle, i) // LIFO pop serves replica 0 first
@@ -364,7 +382,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	f.adm = newAdmitter(cfg.Admission, cfg.DeadlineS, cfg.ServiceS, drain, f.weights)
 	f.budget = newRetryBudget(cfg.Budget, cfg.Tenants)
 	if !cfg.Cache.Disabled {
-		f.cache = newResultCache(cfg.Cache, cfg.DeadlineS)
+		f.cache = newResultCache(cfg.Cache, cfg.DeadlineS, cfg.Keys)
 	}
 	f.keyPred = keyPredictions(cfg.CacheModels, cfg.EvalX, cfg.Keys)
 	f.scaler = newAutoscaler(cfg.Autoscale, f, k.Actor("fleet-scale"), f.obs.queueDelayEst)
@@ -374,15 +392,12 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 // keyPredictions scores the cache models over the eval matrix — batched
 // through BatMul when they share a Dense+ReLU architecture — and maps
 // every key to the prediction its serving model would produce. Without
-// models the identity mapping stands in.
+// models it returns nil and each key stands for its own result.
 func keyPredictions(models []*nn.Network, evalX *tensor.Tensor, keys int) []int {
-	out := make([]int, keys)
 	if len(models) == 0 || evalX == nil {
-		for k := range out {
-			out[k] = k
-		}
-		return out
+		return nil
 	}
+	out := make([]int, keys)
 	preds := make([][]int, len(models))
 	batchable := len(models) >= 2
 	for _, m := range models {
@@ -427,31 +442,39 @@ func (f *Fleet) Start() {
 	t0 := f.k.Now()
 	for t := 0; t < f.cfg.Tenants; t++ {
 		if f.quota[t] > 0 {
-			f.scheduleArrival(t, 0, t0)
+			f.scheduleArrival(t, t0)
 		}
 	}
 	f.scaler.start(t0)
 }
 
-// scheduleArrival books tenant t's request seq at a gap drawn from the
-// tenant's own arrival stream; flash-crowd windows compress exactly the
-// gaps falling inside them (per tenant, when the window lists Workers).
-func (f *Fleet) scheduleArrival(tenant, seq int, from float64) {
+// scheduleArrival books the tenant's pending request (seq arrSeq[tenant])
+// at a gap drawn from the tenant's own arrival stream; flash-crowd windows
+// compress exactly the gaps falling inside them (per tenant, when the
+// window lists Workers). Each tenant has one arrival pending at a time.
+func (f *Fleet) scheduleArrival(tenant int, from float64) {
 	mean := 1 / (f.cfg.ArrivalRate * f.weights[tenant])
-	f.wl.At(from+f.inj.ArrivalGapFor(tenant, seq, mean, from), func(stamp float64) {
-		if seq+1 < f.quota[tenant] {
-			f.scheduleArrival(tenant, seq+1, stamp)
-		}
-		id := f.nextID
-		f.nextID++
-		f.obs.arrived.Inc()
-		f.obs.tenantArrived[tenant].Inc()
-		f.bucketAt(stamp).Offered++
-		f.handleAttempt(fleetReq{
-			id: id, tenant: tenant, key: f.hotKey(tenant, seq),
-			first: stamp, start: stamp,
-		}, stamp)
-	})
+	gap := f.inj.ArrivalGapFor(tenant, f.arrSeq[tenant], mean, from)
+	f.wl.AtArg(from+gap, f.arriveFn, tenant)
+}
+
+// arrive lands the tenant's pending request: it books the tenant's next
+// arrival, then walks this one into the fleet as a first attempt.
+func (f *Fleet) arrive(stamp float64, tenant int) {
+	seq := f.arrSeq[tenant]
+	if seq+1 < f.quota[tenant] {
+		f.arrSeq[tenant] = seq + 1
+		f.scheduleArrival(tenant, stamp)
+	}
+	id := f.nextID
+	f.nextID++
+	f.obs.arrived.Inc()
+	f.obs.tenantArrived[tenant].Inc()
+	f.bucketAt(stamp).Offered++
+	f.handleAttempt(fleetReq{
+		id: id, tenant: tenant, key: f.hotKey(tenant, seq),
+		first: stamp, start: stamp,
+	}, stamp)
 }
 
 // mix64 is the splitmix64 finalizer, the same mixing primitive the fault
@@ -512,9 +535,10 @@ func (f *Fleet) handleAttempt(rq fleetReq, now float64) {
 }
 
 // tryDispatch pairs idle replicas with queued work: each replica takes up
-// to BatchMax requests FIFO and schedules one completion event for the
-// whole batch — the amortization that keeps the loop near two events per
-// request. Brownout windows stretch the batch's service time.
+// to BatchMax requests FIFO into its batch buffer and schedules one
+// completion event for the whole batch — the amortization that keeps the
+// loop near two events per request. Brownout windows stretch the batch's
+// service time.
 func (f *Fleet) tryDispatch(now float64) {
 	for len(f.idle) > 0 && f.queueLen() > 0 {
 		r := f.idle[len(f.idle)-1]
@@ -523,8 +547,8 @@ func (f *Fleet) tryDispatch(now float64) {
 		if ql := f.queueLen(); n > ql {
 			n = ql
 		}
-		batch := make([]fleetReq, n)
-		copy(batch, f.queue[f.qHead:f.qHead+n])
+		batch := append(f.batches[r][:0], f.queue[f.qHead:f.qHead+n]...)
+		f.batches[r] = batch
 		f.qHead += n
 		if f.qHead > 4096 && 2*f.qHead >= len(f.queue) {
 			f.queue = append(f.queue[:0], f.queue[f.qHead:]...)
@@ -536,15 +560,16 @@ func (f *Fleet) tryDispatch(now float64) {
 		service := (f.cfg.ServiceS + float64(n-1)*f.cfg.BatchItemS) *
 			f.inj.FactorAt(fault.KindBrownout, r, now)
 		f.inFlight += n
-		f.srv.At(now+service, func(stamp float64) { f.complete(r, batch, stamp) })
+		f.srv.AtArg(now+service, f.completeFn, r)
 	}
 }
 
-// complete lands one replica batch: requests inside their attempt
+// completeReplica lands replica r's batch: requests inside their attempt
 // deadline are served, the rest are failures the client may retry —
 // crucially, the replica spent full service time on them either way,
 // which is the wasted work that sustains metastable collapse.
-func (f *Fleet) complete(r int, batch []fleetReq, stamp float64) {
+func (f *Fleet) completeReplica(stamp float64, r int) {
+	batch := f.batches[r]
 	f.inFlight -= len(batch)
 	for _, rq := range batch {
 		if stamp <= rq.start+f.cfg.DeadlineS {
@@ -567,7 +592,11 @@ func (f *Fleet) complete(r int, batch []fleetReq, stamp float64) {
 
 func (f *Fleet) serveFromReplica(rq fleetReq, stamp float64) {
 	if f.cache != nil {
-		f.cache.put(rq.key, f.keyPred[rq.key], stamp)
+		pred := rq.key
+		if f.keyPred != nil {
+			pred = f.keyPred[rq.key]
+		}
+		f.cache.put(rq.key, pred, stamp)
 	}
 	f.finishServed(rq, stamp)
 }
@@ -599,10 +628,16 @@ func (f *Fleet) failAttempt(rq fleetReq, now float64, shed bool) {
 			f.obs.retries.Inc()
 			next := rq
 			next.attempt++
-			f.wl.At(now+f.backoff(rq.tenant, rq.attempt, now), func(stamp float64) {
-				next.start = stamp
-				f.handleAttempt(next, stamp)
-			})
+			var slot int
+			if n := len(f.retryFree); n > 0 {
+				slot = f.retryFree[n-1]
+				f.retryFree = f.retryFree[:n-1]
+				f.retryReqs[slot] = next
+			} else {
+				slot = len(f.retryReqs)
+				f.retryReqs = append(f.retryReqs, next)
+			}
+			f.wl.AtArg(now+f.backoff(rq.tenant, rq.attempt, now), f.retryFn, slot)
 			return
 		}
 		f.retriesDenied++
@@ -620,6 +655,15 @@ func (f *Fleet) failAttempt(rq fleetReq, now float64, shed bool) {
 		foldOutcome(&f.ledger, rq, Failed, now)
 	}
 	f.finalize(now)
+}
+
+// retry lands a pooled retry attempt: the slot is freed and the attempt,
+// restamped with its own arrival, re-enters the fleet.
+func (f *Fleet) retry(stamp float64, slot int) {
+	rq := f.retryReqs[slot]
+	f.retryFree = append(f.retryFree, slot)
+	rq.start = stamp
+	f.handleAttempt(rq, stamp)
 }
 
 // maxAttempts is the client's attempt limit at time t: a retry-storm
@@ -664,6 +708,7 @@ func (f *Fleet) bucketAt(t float64) *GoodputBucket {
 func (f *Fleet) addReplicas(n int, stamp float64) {
 	for j := 0; j < n; j++ {
 		f.idle = append(f.idle, f.nextReplica)
+		f.batches = append(f.batches, nil)
 		f.nextReplica++
 	}
 	f.active += n

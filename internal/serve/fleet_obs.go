@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"fmt"
+	"strconv"
 
 	"dlsys/internal/obs"
 )
@@ -59,5 +59,9 @@ func newFleetObs(h *obs.Handle, tenants int) *fleetObs {
 // (fleet.tenantNN.suffix), exported so the X10/X14 reconcilers can walk
 // the same names the fleet wrote.
 func TenantCounterName(tenant int, suffix string) string {
-	return fmt.Sprintf("fleet.tenant%02d.%s", tenant, suffix)
+	n := strconv.Itoa(tenant)
+	if tenant >= 0 && tenant < 10 {
+		n = "0" + n // %02d without fmt, which dominated the fleet's set-up
+	}
+	return "fleet.tenant" + n + "." + suffix
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -289,4 +290,15 @@ func TestFleetEventLoopThroughput(t *testing.T) {
 			rate, res.Requests, wall)
 	}
 	t.Logf("event loop: %.0f simulated requests/wall-second", rate)
+}
+
+// TestTenantCounterName pins the per-tenant counter naming scheme,
+// fleet.tenant%02d.suffix, which the obs registry fingerprint covers.
+func TestTenantCounterName(t *testing.T) {
+	for tenant := -12; tenant <= 120; tenant++ {
+		want := fmt.Sprintf("fleet.tenant%02d.%s", tenant, "served")
+		if got := TenantCounterName(tenant, "served"); got != want {
+			t.Fatalf("TenantCounterName(%d) = %q, want %q", tenant, got, want)
+		}
+	}
 }

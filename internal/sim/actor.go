@@ -42,17 +42,30 @@ func (a *Actor) Name() string { return a.name }
 func (a *Actor) Fired() int { return a.fired }
 
 // At schedules fn at absolute time t under this actor's name.
-func (a *Actor) At(t float64, fn func(stamp float64)) *Event {
-	return a.k.At(t, a.name, fn)
+func (a *Actor) At(t float64, fn func(stamp float64)) EventID {
+	id, ev := a.k.schedule(t, a, a.name)
+	ev.fn = fn
+	return id
+}
+
+// AtArg schedules fn(stamp, arg) at absolute time t under this actor's
+// name. It is the allocation-free form of At for hot event chains: fn is a
+// handler the actor binds once (a method value kept in a field) and arg a
+// small payload such as a tenant, replica or request-slot index, so no
+// closure is built per event.
+func (a *Actor) AtArg(t float64, fn func(stamp float64, arg int), arg int) EventID {
+	id, ev := a.k.schedule(t, a, a.name)
+	ev.argFn, ev.arg = fn, arg
+	return id
 }
 
 // After schedules fn d seconds from now under this actor's name.
-func (a *Actor) After(d float64, fn func(stamp float64)) *Event {
+func (a *Actor) After(d float64, fn func(stamp float64)) EventID {
 	return a.k.After(d, a.name, fn)
 }
 
 // Every schedules a periodic event under this actor's name; see
 // Kernel.Every for the cadence and termination contract.
-func (a *Actor) Every(start, period float64, fn func(now float64) bool) *Event {
+func (a *Actor) Every(start, period float64, fn func(now float64) bool) EventID {
 	return a.k.Every(start, period, a.name, fn)
 }

@@ -30,7 +30,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -42,57 +41,75 @@ type Clock interface {
 	Now() float64
 }
 
-// Event is one scheduled occurrence. The zero value is meaningless; events
-// are created by the Kernel's scheduling methods and retained by callers
-// only to Cancel them.
-type Event struct {
-	t        float64
-	seq      uint64
-	actor    string
-	fn       func(stamp float64)
-	every    func(now float64) bool // periodic callback, nil for one-shots
-	period   float64
-	canceled bool
+// EventID names one scheduled event so its scheduler can Cancel it. It is
+// a value: the slot of the event's record in the kernel's arena plus the
+// generation the slot had when the event was scheduled. The zero EventID
+// cancels nothing.
+type EventID struct {
+	k    *Kernel
+	slot int32
+	gen  uint32
 }
 
 // Cancel marks the event so it is skipped when popped. Cancelling an
-// already-executed or nil event is a no-op. Cancelled events still consume
-// their queue slot but do not appear in the execution log or fingerprint.
-func (e *Event) Cancel() {
-	if e != nil {
-		e.canceled = true
+// already-executed event is a no-op, even after its slot has been reused
+// by a later event: the slot's generation no longer matches. Cancelled
+// events still consume their queue slot until popped but do not appear in
+// the execution log or fingerprint.
+func (id EventID) Cancel() {
+	if id.k == nil {
+		return
+	}
+	if ev := &id.k.events[id.slot]; ev.gen == id.gen {
+		ev.canceled = true
 	}
 }
 
-// eventQueue is a min-heap on (t, seq).
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].t != q[j].t {
-		return q[i].t < q[j].t
-	}
-	return q[i].seq < q[j].seq
+// event is one scheduled occurrence's record in the kernel's arena.
+// Exactly one of fn, argFn and every is set. The (time, seq) key lives in
+// the heap node, not here.
+type event struct {
+	actor    *Actor // nil when no actor of that name existed at scheduling
+	name     string
+	fn       func(stamp float64)
+	argFn    func(stamp float64, arg int) // handler bound once, plus a payload
+	arg      int
+	every    func(now float64) bool // periodic callback
+	period   float64
+	gen      uint32 // bumped each time the slot is freed
+	canceled bool
 }
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*Event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
+
+// node is one heap entry: the ordering key plus the event's arena slot.
+type node struct {
+	t    float64
+	seq  uint64
+	slot int32
+}
+
+func (a node) less(b node) bool {
+	if a.t != b.t {
+		return a.t < b.t
+	}
+	return a.seq < b.seq
 }
 
 // Kernel is the discrete-event loop: a virtual clock plus a priority queue
 // of pending events. Not safe for concurrent use — drive it from one
 // goroutine (handlers may fan out internally as long as they rejoin before
 // returning).
+//
+// The queue is a 4-ary min-heap of (time, seq, slot) nodes over an arena
+// of event records recycled through a free list, so scheduling and
+// executing an event allocate nothing once the arena has grown to the
+// run's peak pending count. Sequence numbers are unique, so the pop order
+// is the total (time, seq) order whatever the heap's shape.
 type Kernel struct {
 	now       float64
 	seq       uint64
-	queue     eventQueue
+	heap      []node
+	events    []event
+	free      []int32
 	processed int
 	actors    map[string]*Actor
 	log       FNV
@@ -151,8 +168,18 @@ func (f *FNV) Sum64() uint64 {
 
 // New builds an empty kernel with the clock at zero.
 func New() *Kernel {
-	return &Kernel{actors: map[string]*Actor{}}
+	return &Kernel{
+		// A first block of queue and arena capacity: a run's opening
+		// events then take one allocation each instead of a doubling
+		// series through several size classes.
+		heap:   make([]node, 0, initialEvents),
+		events: make([]event, 0, initialEvents),
+		actors: map[string]*Actor{},
+	}
 }
+
+// initialEvents is New's queue and arena capacity.
+const initialEvents = 16
 
 // Now returns the current simulated time in seconds.
 func (k *Kernel) Now() float64 { return k.now }
@@ -163,7 +190,7 @@ func (k *Kernel) Processed() int { return k.processed }
 
 // Pending returns how many events are queued (including cancelled ones not
 // yet popped).
-func (k *Kernel) Pending() int { return len(k.queue) }
+func (k *Kernel) Pending() int { return len(k.heap) }
 
 // At schedules fn to run at absolute time t, stamped with t. The time may
 // lie behind the current clock: with coarse-grained handlers that Advance
@@ -172,16 +199,15 @@ func (k *Kernel) Pending() int { return len(k.queue) }
 // clock itself never rewinds. Fine-grained event chains (request arrivals)
 // therefore keep exact timestamps when composed with coarse-grained ones
 // (training rounds).
-func (k *Kernel) At(t float64, actor string, fn func(stamp float64)) *Event {
-	ev := &Event{t: t, seq: k.seq, actor: actor, fn: fn}
-	k.seq++
-	heap.Push(&k.queue, ev)
-	return ev
+func (k *Kernel) At(t float64, actor string, fn func(stamp float64)) EventID {
+	id, ev := k.schedule(t, k.actors[actor], actor)
+	ev.fn = fn
+	return id
 }
 
 // After schedules fn to run d seconds from the current clock. Negative d
 // clamps to zero.
-func (k *Kernel) After(d float64, actor string, fn func(stamp float64)) *Event {
+func (k *Kernel) After(d float64, actor string, fn func(stamp float64)) EventID {
 	if d < 0 {
 		d = 0
 	}
@@ -193,15 +219,94 @@ func (k *Kernel) After(d float64, actor string, fn func(stamp float64)) *Event {
 // instant; the next firing is scheduled relative to that stamp (fixed-rate,
 // not fixed-delay), so a handler that advances the clock does not skew the
 // cadence. A non-positive period panics: it would loop forever at one
-// instant.
-func (k *Kernel) Every(start, period float64, actor string, fn func(now float64) bool) *Event {
+// instant. The returned EventID cancels every later firing.
+func (k *Kernel) Every(start, period float64, actor string, fn func(now float64) bool) EventID {
 	if period <= 0 {
 		panic(fmt.Sprintf("sim: Every(%q) with non-positive period %g", actor, period))
 	}
-	ev := &Event{t: start, seq: k.seq, actor: actor, every: fn, period: period}
+	id, ev := k.schedule(start, k.actors[actor], actor)
+	ev.every, ev.period = fn, period
+	return id
+}
+
+// schedule takes an arena slot (a freed one first), pushes its heap node
+// at (t, next seq) and returns the new event's id and record for the
+// caller to fill in. The record pointer is valid until the next schedule.
+func (k *Kernel) schedule(t float64, a *Actor, name string) (EventID, *event) {
+	var slot int32
+	if n := len(k.free); n > 0 {
+		slot = k.free[n-1]
+		k.free = k.free[:n-1]
+	} else {
+		slot = int32(len(k.events))
+		k.events = append(k.events, event{})
+	}
+	ev := &k.events[slot]
+	ev.actor, ev.name = a, name
+	k.push(node{t: t, seq: k.seq, slot: slot})
 	k.seq++
-	heap.Push(&k.queue, ev)
-	return ev
+	return EventID{k: k, slot: slot, gen: ev.gen}, ev
+}
+
+// release returns a slot to the free list, dropping the record's
+// references and bumping its generation so stale EventIDs cancel nothing.
+func (k *Kernel) release(slot int32) {
+	ev := &k.events[slot]
+	*ev = event{gen: ev.gen + 1}
+	k.free = append(k.free, slot)
+}
+
+// push adds n to the 4-ary heap (children of i at 4i+1..4i+4).
+func (k *Kernel) push(n node) {
+	k.heap = append(k.heap, n)
+	h := k.heap
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !n.less(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = n
+}
+
+// pop removes and returns the heap minimum; the heap must be non-empty.
+func (k *Kernel) pop() node {
+	h := k.heap
+	top := h[0]
+	last := len(h) - 1
+	x := h[last]
+	h = h[:last]
+	k.heap = h
+	if last == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 4*i + 1
+		if c >= last {
+			break
+		}
+		m := c
+		end := c + 4
+		if end > last {
+			end = last
+		}
+		for j := c + 1; j < end; j++ {
+			if h[j].less(h[m]) {
+				m = j
+			}
+		}
+		if !h[m].less(x) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	h[i] = x
+	return top
 }
 
 // Advance moves the clock forward by d seconds, modelling work performed
@@ -224,35 +329,47 @@ func (k *Kernel) AdvanceTo(t float64) {
 // the queue is empty. The clock is set to max(now, event time) before the
 // handler runs; the handler receives the event's own scheduled stamp.
 func (k *Kernel) Step() bool {
-	for len(k.queue) > 0 {
-		ev := heap.Pop(&k.queue).(*Event)
+	for len(k.heap) > 0 {
+		n := k.pop()
+		ev := &k.events[n.slot]
 		if ev.canceled {
+			k.release(n.slot)
 			continue
 		}
-		if ev.t > k.now {
-			k.now = ev.t
+		if n.t > k.now {
+			k.now = n.t
 		}
 		k.processed++
-		k.log.AddString(ev.actor)
-		k.log.AddWord(math.Float64bits(ev.t))
-		k.log.AddWord(ev.seq)
-		if a, ok := k.actors[ev.actor]; ok {
+		k.log.AddString(ev.name)
+		k.log.AddWord(math.Float64bits(n.t))
+		k.log.AddWord(n.seq)
+		a := ev.actor
+		if a == nil {
+			a = k.actors[ev.name] // registered after the event was scheduled
+		}
+		if a != nil {
 			a.fired++
 		}
 		if ev.every != nil {
-			if ev.every(ev.t) && !ev.canceled {
-				// Reuse the same Event so the caller's handle keeps
-				// working for Cancel across reschedules. The next firing
-				// is start+n*period even if the clock has moved past it —
-				// fixed-rate, catching up rather than skewing.
-				ev.t += ev.period
-				ev.seq = k.seq
+			// The slot stays live across the handler so the caller's
+			// EventID keeps working for Cancel across reschedules. The
+			// next firing is start+n*period even if the clock has moved
+			// past it — fixed-rate, catching up rather than skewing.
+			if ev.every(n.t) && !k.events[n.slot].canceled {
+				k.push(node{t: n.t + k.events[n.slot].period, seq: k.seq, slot: n.slot})
 				k.seq++
-				heap.Push(&k.queue, ev)
+			} else {
+				k.release(n.slot)
 			}
 			return true
 		}
-		ev.fn(ev.t)
+		fn, argFn, arg := ev.fn, ev.argFn, ev.arg
+		k.release(n.slot)
+		if argFn != nil {
+			argFn(n.t, arg)
+		} else {
+			fn(n.t)
+		}
 		return true
 	}
 	return false
@@ -272,13 +389,14 @@ func (k *Kernel) Run() int {
 // beyond t stay queued.
 func (k *Kernel) RunUntil(t float64) int {
 	n := 0
-	for len(k.queue) > 0 {
-		// Peek: heap minimum is index 0.
-		if k.queue[0].canceled {
-			heap.Pop(&k.queue)
+	for len(k.heap) > 0 {
+		top := k.heap[0]
+		if k.events[top.slot].canceled {
+			k.pop()
+			k.release(top.slot)
 			continue
 		}
-		if k.queue[0].t > t {
+		if top.t > t {
 			break
 		}
 		if k.Step() {
